@@ -11,9 +11,13 @@ from dataclasses import replace
 import numpy as np
 
 from .core import Recording, Signal
-from .denoise import (
+# the denoisers stay importable from here; the table calls them through
+# eegscrub.denoise
+from .denoise import (  # noqa: F401
     METHOD_IDS,
+    METHODS,
     adaptive_kalman_denoise,
+    apply_method,
     cascade_lms,
     denoise_dwt,
     denoise_emd_maf,
@@ -22,10 +26,9 @@ from .denoise import (
     remove_motion_ssa,
     remove_muscle_ssa_cca,
 )
-from .noise import NoiseSpec, compute_metrics, gen_noise, mix_at_snr
+from .noise import NoiseSpec, blink_bump, compute_metrics, gen_noise, mix_at_snr
 from .rng import rng_stream
 
-MULTICHANNEL_METHODS = ("ssa_cca", "blink_template")
 CHANNEL_GAINS = (1.0, 0.8, 1.2, 0.9)
 CHANNEL_NAMES = ("TP9", "AF7", "AF8", "TP10")
 # reference generators get their own seed offset so the reference is a
@@ -44,76 +47,44 @@ def make_clean(seed: int, n: int, fs: float, channel: int = 0) -> Signal:
 
 
 def make_blink_template(spec: NoiseSpec, fs: float) -> Signal:
-    width = max(3, int(round(spec.params.get("width", 0.3) * fs)))
-    bump = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(width) / (width - 1)))
-    return Signal(samples=bump, fs=fs)
-
-
-def _run_single(method: str, mixed: Signal, noise_spec: NoiseSpec,
-                seed: int, fs: float) -> Signal:
-    if method == "identity":
-        return identity(mixed)[0]
-    if method == "dwt":
-        return denoise_dwt(mixed)[0]
-    if method == "emd_maf":
-        return denoise_emd_maf(mixed)[0]
-    if method == "ssa_motion":
-        return remove_motion_ssa(mixed)[0]
-    if method == "akf":
-        return adaptive_kalman_denoise(mixed)[0]
-    if method == "cascade_lms":
-        ref_spec = replace(noise_spec, seed=seed + REFERENCE_SEED_OFFSET)
-        ref = gen_noise(ref_spec, len(mixed), fs)
-        return cascade_lms(mixed, [ref])[0]
-    raise ValueError(f"unknown single-channel method {method!r}")
+    return Signal(samples=blink_bump(spec.params.get("width", 0.3), fs), fs=fs)
 
 
 def _run_cell_seed(method: str, spec: NoiseSpec, snr_db: float, seed: int,
                    n: int, fs: float) -> dict:
-    """One Monte-Carlo draw; returns metrics plus the mix round-trip error."""
+    """One Monte-Carlo draw; returns metrics plus the mix round-trip error.
+
+    Multichannel methods see all four channels, the noise scaled by
+    CHANNEL_GAINS; single-channel methods see channel 0 (gain 1).
+    """
+    entry = METHODS[method]
+    n_ch = len(CHANNEL_NAMES) if entry.multichannel else 1
     realized = replace(spec, seed=spec.seed + seed)
     noise = gen_noise(realized, n, fs)
-    if method in MULTICHANNEL_METHODS:
-        cleans = [make_clean(seed, n, fs, channel=c) for c in range(4)]
-        mixed_channels, roundtrip = [], 0.0
-        for c, clean in enumerate(cleans):
-            shaped = noise.with_samples(noise.samples * CHANNEL_GAINS[c])
-            mixed, report = mix_at_snr(clean, shaped, snr_db)
-            mixed_channels.append(mixed)
-            roundtrip = max(roundtrip, abs(
-                compute_metrics(clean, mixed)["snr_db"] - report.target_snr_db
-            ))
-        rec = Recording(channels=tuple(mixed_channels),
-                        channel_names=CHANNEL_NAMES)
-        if method == "ssa_cca":
-            out = remove_muscle_ssa_cca(rec)[0]
-        else:
-            template = make_blink_template(realized, fs)
-            out = remove_blink_template(rec, template, CHANNEL_NAMES[1:3])[0]
-        per_channel = [compute_metrics(c, o)
-                       for c, o in zip(cleans, out.channels)]
-        in_metrics = [compute_metrics(c, m)
-                      for c, m in zip(cleans, mixed_channels)]
-        return {
-            "snr_db": float(np.mean([m["snr_db"] for m in per_channel])),
-            "rmse": float(np.mean([m["rmse"] for m in per_channel])),
-            "corr": float(np.mean([m["corr"] for m in per_channel])),
-            "in_snr_db": float(np.mean([m["snr_db"] for m in in_metrics])),
-            "in_rmse": float(np.mean([m["rmse"] for m in in_metrics])),
-            "mix_roundtrip_db": float(roundtrip),
-        }
-    clean = make_clean(seed, n, fs)
-    mixed, report = mix_at_snr(clean, noise, snr_db)
-    in_metrics = compute_metrics(clean, mixed)
-    out = _run_single(method, mixed, realized, seed, fs)
-    metrics = compute_metrics(clean, out)
+    cleans = [make_clean(seed, n, fs, channel=c) for c in range(n_ch)]
+    mixed_channels = [
+        mix_at_snr(clean, noise.with_samples(noise.samples * gain), snr_db)[0]
+        for clean, gain in zip(cleans, CHANNEL_GAINS)
+    ]
+    in_metrics = [compute_metrics(c, m) for c, m in zip(cleans, mixed_channels)]
+    if entry.needs == "references":
+        ref_spec = replace(realized, seed=seed + REFERENCE_SEED_OFFSET)
+        inputs = ([gen_noise(ref_spec, n, fs)],)
+    elif entry.needs == "template":
+        inputs = (make_blink_template(realized, fs), CHANNEL_NAMES[1:3])
+    else:
+        inputs = ()
+    rec = Recording(channels=tuple(mixed_channels),
+                    channel_names=CHANNEL_NAMES[:n_ch])
+    out, _ = apply_method(method, rec, *inputs)
+    per_channel = [compute_metrics(c, o) for c, o in zip(cleans, out.channels)]
     return {
-        "snr_db": metrics["snr_db"],
-        "rmse": metrics["rmse"],
-        "corr": metrics["corr"],
-        "in_snr_db": in_metrics["snr_db"],
-        "in_rmse": in_metrics["rmse"],
-        "mix_roundtrip_db": abs(in_metrics["snr_db"] - report.target_snr_db),
+        "snr_db": float(np.mean([m["snr_db"] for m in per_channel])),
+        "rmse": float(np.mean([m["rmse"] for m in per_channel])),
+        "corr": float(np.mean([m["corr"] for m in per_channel])),
+        "in_snr_db": float(np.mean([m["snr_db"] for m in in_metrics])),
+        "in_rmse": float(np.mean([m["rmse"] for m in in_metrics])),
+        "mix_roundtrip_db": max(abs(m["snr_db"] - snr_db) for m in in_metrics),
     }
 
 

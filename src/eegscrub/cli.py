@@ -13,31 +13,19 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from .bench import leaderboard_csv_rows, make_blink_template, make_clean, run_bench
 from .core import Recording
-from .denoise import (
-    METHOD_IDS,
-    KalmanConfig,
-    adaptive_kalman_denoise,
-    cascade_lms,
-    denoise_dwt,
-    denoise_emd_maf,
-    identity,
-    remove_blink_template,
-    remove_motion_ssa,
-    remove_muscle_ssa_cca,
-)
 from .dataset import (
     CLASS_NAMES,
     LabeledDataset,
     load_feature_csv,
     load_raw_csv,
+    parse_label,
     save_feature_csv,
     save_raw_csv,
     write_report,
 )
+from .denoise import METHOD_IDS, METHODS, apply_method
 from .errors import EegScrubError
 from .features import build_feature_matrix
 from .gru import (
@@ -50,6 +38,10 @@ from .gru import (
     train_linear_baseline,
 )
 from .noise import NoiseSpec, gen_noise, mix_at_snr
+
+
+# every method's tunable keywords, each registered once as a denoise flag
+_METHOD_PARAMS = tuple(p for spec in METHODS.values() for p in spec.params)
 
 
 class UsageError(Exception):
@@ -87,22 +79,6 @@ def _check_no_clobber(inputs, outputs):
             )
 
 
-def _parse_label(text: str) -> int:
-    name = text.strip().upper()
-    if name in CLASS_NAMES:
-        return CLASS_NAMES.index(name)
-    try:
-        value = int(text)
-    except ValueError:
-        raise UsageError(
-            f"label must be one of {CLASS_NAMES} or 0..{len(CLASS_NAMES)-1}, "
-            f"got {text!r}"
-        )
-    if not 0 <= value < len(CLASS_NAMES):
-        raise UsageError(f"label {value} outside 0..{len(CLASS_NAMES)-1}")
-    return value
-
-
 def _add_seed(p) -> None:
     # SUPPRESS keeps a subcommand-level default from clobbering a root value
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -135,17 +111,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--fs", type=float, default=256.0)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--mode", choices=("soft", "hard"), default="soft")
-    p.add_argument("--ma-width", type=int, default=5)
-    p.add_argument("--window-len", type=int, default=None)
-    p.add_argument("--var-thresh", type=float, default=0.1)
-    p.add_argument("--autocorr-thresh", type=float, default=0.9)
-    p.add_argument("--q", type=float, default=1e-5)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--adapt-window", type=int, default=64)
-    p.add_argument("--mu", type=float, default=0.05)
-    p.add_argument("--taps", type=int, default=16)
+    for param in _METHOD_PARAMS:
+        p.add_argument("--" + param.name.replace("_", "-"), type=param.type,
+                       default=param.default, choices=param.choices)
     p.add_argument("--ref-noise", action="append", default=None,
                    help="reference noise spec for cascade_lms (repeatable)")
     p.add_argument("--template-width", type=float, default=0.3,
@@ -153,7 +121,6 @@ def build_parser() -> _Parser:
     p.add_argument("--frontal", default=None,
                    help="comma-separated frontal channel names for "
                         "blink_template (default: first two channels)")
-    p.add_argument("--peak-thresh", type=float, default=0.7)
 
     p = sub.add_parser("bench", help="run the Monte-Carlo benchmark grid")
     _add_seed(p)
@@ -242,62 +209,37 @@ def _cmd_simulate(args, seed: int) -> int:
     return 0
 
 
-def _denoise_recording(args, rec: Recording, seed: int):
-    method = args.method
-    if method == "ssa_cca":
-        out, rep = remove_muscle_ssa_cca(rec, args.autocorr_thresh)
-        return out, [rep]
-    if method == "blink_template":
+def _method_inputs(args, rec: Recording, seed: int) -> tuple:
+    """The references or the template a method needs, built from the flags."""
+    needs = METHODS[args.method].needs
+    if needs == "references":
+        specs = [NoiseSpec.from_text(s) for s in
+                 (args.ref_noise or ["kind=powerline"])]
+        return ([gen_noise(replace(s, seed=s.seed + seed), rec.n_samples,
+                           rec.fs) for s in specs],)
+    if needs == "template":
         frontal = (args.frontal.split(",") if args.frontal
                    else list(rec.channel_names[:2]))
         spec = NoiseSpec("blink", {"width": args.template_width}, seed=seed)
-        template = make_blink_template(spec, rec.fs)
-        out, rep = remove_blink_template(rec, template, frontal,
-                                         args.peak_thresh)
-        return out, [rep]
-    outs, reps = [], []
-    for ch in rec.channels:
-        if method == "identity":
-            out, rep = identity(ch)
-        elif method == "dwt":
-            out, rep = denoise_dwt(ch, args.levels, args.mode)
-        elif method == "emd_maf":
-            out, rep = denoise_emd_maf(ch, args.ma_width)
-        elif method == "ssa_motion":
-            out, rep = remove_motion_ssa(ch, args.window_len, args.var_thresh)
-        elif method == "akf":
-            cfg = KalmanConfig(q=args.q, r0=args.r0,
-                               adapt_window=args.adapt_window)
-            out, rep = adaptive_kalman_denoise(ch, cfg)
-        elif method == "cascade_lms":
-            specs = [NoiseSpec.from_text(s) for s in
-                     (args.ref_noise or ["kind=powerline"])]
-            refs = [gen_noise(replace(s, seed=s.seed + seed), len(ch), rec.fs)
-                    for s in specs]
-            out, rep = cascade_lms(ch, refs, args.mu, args.taps)
-        else:
-            raise UsageError(f"unknown method {method!r}")
-        outs.append(out)
-        reps.append(rep)
-    return rec.with_channels(outs), reps
+        return make_blink_template(spec, rec.fs), frontal
+    return ()
 
 
 def _cmd_denoise(args, seed: int) -> int:
     report_path = args.report or _default_report(args.out)
     _check_no_clobber([args.input], [args.out, report_path])
     rec = load_raw_csv(args.input, fs=args.fs)
-    out, reps = _denoise_recording(args, rec, seed)
+    params = {p.name: getattr(args, p.name)
+              for p in METHODS[args.method].params}
+    out, reps = apply_method(args.method, rec,
+                             *_method_inputs(args, rec, seed), **params)
     save_raw_csv(out, args.out)
     config = {
         "in": str(args.input), "out": str(args.out), "method": args.method,
-        "fs": args.fs, "seed": seed, "levels": args.levels,
-        "mode": args.mode, "ma_width": args.ma_width,
-        "window_len": args.window_len, "var_thresh": args.var_thresh,
-        "autocorr_thresh": args.autocorr_thresh, "q": args.q, "r0": args.r0,
-        "adapt_window": args.adapt_window, "mu": args.mu, "taps": args.taps,
-        "ref_noise": args.ref_noise, "template_width": args.template_width,
-        "frontal": args.frontal, "peak_thresh": args.peak_thresh,
+        "fs": args.fs, "seed": seed, "ref_noise": args.ref_noise,
+        "template_width": args.template_width, "frontal": args.frontal,
     }
+    config.update({p.name: getattr(args, p.name) for p in _METHOD_PARAMS})
     write_report({
         "command": "denoise",
         "config": config,
@@ -334,7 +276,12 @@ def _cmd_extract(args, seed: int) -> int:
     report_path = args.report or _default_report(args.out)
     _check_no_clobber([args.input], [args.out, report_path])
     rec = load_raw_csv(args.input, fs=args.fs)
-    label = _parse_label(args.label) if args.label is not None else None
+    label = None
+    if args.label is not None:
+        try:
+            label = parse_label(args.label)
+        except ValueError as exc:
+            raise UsageError(str(exc))
     matrix = build_feature_matrix(rec, args.window_s, args.overlap,
                                   label=label)
     save_feature_csv(matrix, args.out)
@@ -373,9 +320,7 @@ def _cmd_train(args, seed: int) -> int:
                                       len(dataset.class_names),
                                       hidden_size=args.hidden, seed=seed)
         model, history = train(dataset.features, mc, tc)
-        model_config = {"seq_len": mc.seq_len, "feat_dim": mc.feat_dim,
-                        "hidden_size": mc.hidden_size,
-                        "n_classes": mc.n_classes, "seed": mc.seed}
+        model_config = asdict(mc)
     else:
         model, history = train_linear_baseline(
             dataset.features, tc, n_classes=len(dataset.class_names))

@@ -41,22 +41,23 @@ class LabeledDataset:
         object.__setattr__(self, "class_names", tuple(self.class_names))
 
 
-def _parse_label(text: str, path, row_num: int):
+def parse_label(text: str) -> int:
+    """Class index of a class name (any case) or an integer in range.
+
+    Raises ValueError naming the accepted forms; callers add their context.
+    """
     name = text.strip().upper()
     if name in LABEL_TO_INT:
         return LABEL_TO_INT[name]
     try:
         value = int(text)
     except ValueError:
-        raise DataFormatError(
-            f"{path}: row {row_num}: unknown label {text!r} "
-            f"(expected one of {CLASS_NAMES} or an integer)"
+        raise ValueError(
+            f"unknown label {text!r} (expected one of {CLASS_NAMES} "
+            f"or an integer)"
         )
     if not 0 <= value < len(CLASS_NAMES):
-        raise DataFormatError(
-            f"{path}: row {row_num}: label {value} outside "
-            f"[0, {len(CLASS_NAMES)})"
-        )
+        raise ValueError(f"label {value} outside [0, {len(CLASS_NAMES)})")
     return value
 
 
@@ -93,7 +94,10 @@ def load_feature_csv(path, label_column: str = "label",
             values = []
             for i, cell in enumerate(row):
                 if i == label_idx:
-                    labels.append(_parse_label(cell, path, row_num))
+                    try:
+                        labels.append(parse_label(cell))
+                    except ValueError as exc:
+                        raise DataFormatError(f"{path}: row {row_num}: {exc}")
                     continue
                 try:
                     values.append(float(cell))

@@ -5,8 +5,15 @@ subtraction.
 Every method returns the cleaned signal(s) together with a DenoiseReport
 recording what was done, keyed by a stable method id so CLI output and bench
 tables stay comparable across runs.
+
+A method is registered by one entry of the ``METHODS`` table at the end of
+this module: its function, its tunable keywords with their command-line
+defaults, whether it works on one channel or a whole recording, and whether
+it needs reference signals or a blink template. The bench, the CLI's
+``--method`` choices, per-method flags and report config all read the table.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -14,18 +21,6 @@ import numpy as np
 from .core import Recording, Signal, moving_average
 from .decompose import cca, dwt_forward, dwt_inverse, emd, ssa_decompose
 from .errors import DivergenceError, NumericDegeneracyError, TooShortError
-
-METHOD_IDS = (
-    "dwt",
-    "emd_maf",
-    "ssa_motion",
-    "ssa_cca",
-    "akf",
-    "cascade_lms",
-    "blink_template",
-    "identity",
-)
-
 
 @dataclass(frozen=True)
 class DenoiseReport:
@@ -367,3 +362,57 @@ def remove_blink_template(
         input_len=rec.n_samples,
     )
     return rec.with_channels(cleaned), report
+
+
+# a method's tunable keyword with its command-line type and default
+Param = namedtuple("Param", "name type default choices", defaults=(None,))
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """How to call one denoiser and what it needs besides the signal."""
+
+    func: str  # name of a function of this module, looked up at each call
+    params: tuple = ()
+    multichannel: bool = False  # takes a Recording instead of one Signal
+    needs: str | None = None  # "references" or "template"
+    config: type | None = None  # packs the keywords into one config object
+
+
+METHODS = {
+    "dwt": MethodSpec("denoise_dwt", (
+        Param("levels", int, 3), Param("mode", str, "soft", ("soft", "hard")))),
+    "emd_maf": MethodSpec("denoise_emd_maf", (Param("ma_width", int, 5),)),
+    "ssa_motion": MethodSpec("remove_motion_ssa", (
+        Param("window_len", int, None), Param("var_thresh", float, 0.1))),
+    "ssa_cca": MethodSpec("remove_muscle_ssa_cca", (
+        Param("autocorr_thresh", float, 0.9),), multichannel=True),
+    "akf": MethodSpec("adaptive_kalman_denoise", (
+        Param("q", float, 1e-5), Param("r0", float, 1.0),
+        Param("adapt_window", int, 64)), config=KalmanConfig),
+    "cascade_lms": MethodSpec("cascade_lms", (
+        Param("mu", float, 0.05), Param("taps", int, 16)), needs="references"),
+    "blink_template": MethodSpec("remove_blink_template", (
+        Param("peak_thresh", float, 0.7),), multichannel=True, needs="template"),
+    "identity": MethodSpec("identity"),
+}
+METHOD_IDS = tuple(METHODS)
+
+
+def apply_method(method_id: str, rec: Recording, *inputs, **params) -> tuple:
+    """Run a registered method on a recording; returns (recording, reports).
+
+    ``inputs`` follow the signal: the reference list for
+    ``needs="references"``, the template and frontal channel names for
+    ``needs="template"``. Omitted keywords keep the function's defaults.
+    Single-channel methods run once per channel.
+    """
+    spec = METHODS[method_id]
+    fn = globals()[spec.func]
+    if spec.config is not None:
+        inputs, params = inputs + (spec.config(**params),), {}
+    if spec.multichannel:
+        out, report = fn(rec, *inputs, **params)
+        return out, [report]
+    outs, reports = zip(*(fn(ch, *inputs, **params) for ch in rec.channels))
+    return rec.with_channels(outs), list(reports)

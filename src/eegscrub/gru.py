@@ -11,11 +11,12 @@ checked against finite differences in the test suite.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .core import NormStats
+from .core import NormStats, normalize
 from .errors import DataFormatError, StratificationError
 from .features import FeatureMatrix
 from .rng import rng_stream
@@ -108,8 +109,7 @@ class GruModel:
     norm: NormStats | None = None
 
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        x = _apply_norm(rows, self.norm)
-        seqs = reshape_to_sequences(x, self.config)
+        seqs = reshape_to_sequences(_normalized(rows, self.norm), self.config)
         _, probs, _ = _forward_batch(self, seqs)
         return probs
 
@@ -122,8 +122,7 @@ class LinearModel:
     norm: NormStats | None = None
 
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        x = _apply_norm(rows, self.norm)
-        return _softmax(x @ self.w.T + self.b)
+        return _softmax(_normalized(rows, self.norm) @ self.w.T + self.b)
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def _apply_norm(rows: np.ndarray, norm: NormStats | None) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    if norm is None:
-        return rows
-    return (rows - norm.loc) / norm.scale
+def _normalized(rows, norm: NormStats | None) -> np.ndarray:
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    return rows if norm is None else normalize(rows, norm.mode, norm)[0]
 
 
 def reshape_to_sequences(rows: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -311,24 +308,24 @@ def loss_and_grad(model: GruModel, seqs: np.ndarray, labels: np.ndarray,
     return loss, grads
 
 
-def _model_get(model: GruModel, name: str) -> np.ndarray:
-    if name in ("w_out", "b_out"):
-        return getattr(model, name)
-    return getattr(model.params, name)
+def _model_get(model, name: str) -> np.ndarray:
+    owner = model.params if name in GATE_PARAM_NAMES else model
+    return getattr(owner, name)
 
 
-def _model_with(model: GruModel, updates: dict) -> GruModel:
-    gate_updates = {k: v for k, v in updates.items() if k in GATE_PARAM_NAMES}
-    top_updates = {k: v for k, v in updates.items() if k not in GATE_PARAM_NAMES}
-    params = replace(model.params, **gate_updates) if gate_updates else model.params
-    return replace(model, params=params, **top_updates)
+def _model_with(model, updates: dict):
+    top = {k: v for k, v in updates.items() if k not in GATE_PARAM_NAMES}
+    gates = {k: v for k, v in updates.items() if k in GATE_PARAM_NAMES}
+    if gates:
+        top["params"] = replace(model.params, **gates)
+    return replace(model, **top)
 
 
 class _Adam:
-    def __init__(self, param_names, tc: TrainConfig):
+    def __init__(self, tc: TrainConfig):
         self.tc = tc
-        self.m = {n: None for n in param_names}
-        self.v = {n: None for n in param_names}
+        self.m = {}
+        self.v = {}
         self.t = 0
 
     def step(self, values: dict, grads: dict) -> dict:
@@ -336,7 +333,7 @@ class _Adam:
         self.t += 1
         out = {}
         for name, g in grads.items():
-            if self.m[name] is None:
+            if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
             self.m[name] = tc.beta1 * self.m[name] + (1 - tc.beta1) * g
@@ -389,13 +386,6 @@ def _dataset_arrays(dataset: FeatureMatrix):
     return dataset.rows, np.asarray(dataset.labels, dtype=int)
 
 
-def _norm_stats(rows: np.ndarray) -> NormStats:
-    loc = rows.mean(axis=0)
-    scale = rows.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return NormStats(mode="zscore", loc=loc, scale=scale)
-
-
 def _check_classes(y: np.ndarray, n_classes: int):
     present = set(np.unique(y).tolist())
     missing = sorted(set(range(n_classes)) - present)
@@ -414,25 +404,24 @@ def _epoch_stats(model, x: np.ndarray, y: np.ndarray) -> tuple:
     return loss, acc
 
 
-def train(dataset: FeatureMatrix, mc: ModelConfig, tc: TrainConfig) -> tuple:
-    """Adam-trained GRU plus per-epoch history rows."""
+def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
+         init_model, loss_fn, to_inputs=lambda x: x) -> tuple:
+    """The shared Adam loop: split, normalize, shuffle, step, history.
+
+    ``init_model(norm)`` builds the starting model around the training-set
+    normalization; ``loss_fn(model, inputs, labels)`` returns the loss and a
+    gradient per parameter name; ``to_inputs`` shapes normalized rows.
+    """
     rows, y = _dataset_arrays(dataset)
-    if len(y) < mc.n_classes * 5:
-        raise ValueError(
-            f"need at least {mc.n_classes * 5} samples, got {len(y)}"
-        )
-    _check_classes(y, mc.n_classes)
+    _check_classes(y, n_classes)
     train_idx, val_idx, _ = stratified_split(
         y, (1.0 - tc.val_fraction, tc.val_fraction, 0.0), seed=tc.seed
     )
-    norm = _norm_stats(rows[train_idx])
-    model = replace(init_gru(mc), norm=norm)
-    x_train = _apply_norm(rows[train_idx], norm)
+    x_train, norm = normalize(rows[train_idx], "zscore")
+    model = init_model(norm)
+    inputs = to_inputs(x_train)
     y_train = y[train_idx]
-    seqs_train = reshape_to_sequences(x_train, mc)
-
-    names = list(GATE_PARAM_NAMES) + ["w_out", "b_out"]
-    adam = _Adam(names, tc)
+    adam = _Adam(tc)
     history = []
     for epoch in range(tc.epochs):
         order = rng_stream(tc.seed, f"shuffle:{epoch}").permutation(
@@ -440,21 +429,28 @@ def train(dataset: FeatureMatrix, mc: ModelConfig, tc: TrainConfig) -> tuple:
         )
         for start in range(0, len(order), tc.batch_size):
             batch = order[start : start + tc.batch_size]
-            _, grads = loss_and_grad(
-                model, seqs_train[batch], y_train[batch], grad_clip=tc.grad_clip
-            )
+            _, grads = loss_fn(model, inputs[batch], y_train[batch])
             values = {n: _model_get(model, n) for n in grads}
             model = _model_with(model, adam.step(values, grads))
         train_loss, train_acc = _epoch_stats(model, rows[train_idx], y_train)
         val_loss, val_acc = _epoch_stats(model, rows[val_idx], y[val_idx])
-        history.append({
-            "epoch": epoch,
-            "train_loss": train_loss,
-            "train_acc": train_acc,
-            "val_loss": val_loss,
-            "val_acc": val_acc,
-        })
+        history.append({"epoch": epoch, "train_loss": train_loss,
+                        "train_acc": train_acc, "val_loss": val_loss,
+                        "val_acc": val_acc})
     return model, history
+
+
+def train(dataset: FeatureMatrix, mc: ModelConfig, tc: TrainConfig) -> tuple:
+    """Adam-trained GRU plus per-epoch history rows."""
+    _, y = _dataset_arrays(dataset)
+    if len(y) < mc.n_classes * 5:
+        raise ValueError(
+            f"need at least {mc.n_classes * 5} samples, got {len(y)}"
+        )
+    return _fit(dataset, tc, mc.n_classes,
+                lambda norm: replace(init_gru(mc), norm=norm),
+                partial(loss_and_grad, grad_clip=tc.grad_clip),
+                lambda x: reshape_to_sequences(x, mc))
 
 
 def linear_loss_and_grad(model: LinearModel, x: np.ndarray, y: np.ndarray):
@@ -470,44 +466,12 @@ def linear_loss_and_grad(model: LinearModel, x: np.ndarray, y: np.ndarray):
 def train_linear_baseline(dataset: FeatureMatrix, tc: TrainConfig,
                           n_classes: int = 3) -> tuple:
     """Softmax regression trained with the same loop; zero-weight init."""
-    rows, y = _dataset_arrays(dataset)
-    _check_classes(y, n_classes)
-    train_idx, val_idx, _ = stratified_split(
-        y, (1.0 - tc.val_fraction, tc.val_fraction, 0.0), seed=tc.seed
-    )
-    norm = _norm_stats(rows[train_idx])
-    model = LinearModel(
-        n_classes=n_classes,
-        w=np.zeros((n_classes, rows.shape[1])),
-        b=np.zeros(n_classes),
-        norm=norm,
-    )
-    x_train = _apply_norm(rows[train_idx], norm)
-    y_train = y[train_idx]
-    adam = _Adam(["w", "b"], tc)
-    history = []
-    for epoch in range(tc.epochs):
-        order = rng_stream(tc.seed, f"shuffle:{epoch}").permutation(
-            len(y_train)
-        )
-        for start in range(0, len(order), tc.batch_size):
-            batch = order[start : start + tc.batch_size]
-            _, grads = linear_loss_and_grad(
-                model, x_train[batch], y_train[batch]
-            )
-            values = {"w": model.w, "b": model.b}
-            new = adam.step(values, grads)
-            model = replace(model, w=new["w"], b=new["b"])
-        train_loss, train_acc = _epoch_stats(model, rows[train_idx], y_train)
-        val_loss, val_acc = _epoch_stats(model, rows[val_idx], y[val_idx])
-        history.append({
-            "epoch": epoch,
-            "train_loss": train_loss,
-            "train_acc": train_acc,
-            "val_loss": val_loss,
-            "val_acc": val_acc,
-        })
-    return model, history
+    def init_model(norm):
+        return LinearModel(n_classes=n_classes,
+                           w=np.zeros((n_classes, dataset.rows.shape[1])),
+                           b=np.zeros(n_classes), norm=norm)
+
+    return _fit(dataset, tc, n_classes, init_model, linear_loss_and_grad)
 
 
 def evaluate(model, dataset: FeatureMatrix, class_names=None) -> dict:
@@ -558,13 +522,7 @@ def save_model(model, path) -> None:
         arrays = {n: _model_get(model, n) for n in GATE_PARAM_NAMES}
         arrays["w_out"] = model.w_out
         arrays["b_out"] = model.b_out
-        config = {
-            "seq_len": model.config.seq_len,
-            "feat_dim": model.config.feat_dim,
-            "hidden_size": model.config.hidden_size,
-            "n_classes": model.config.n_classes,
-            "seed": model.config.seed,
-        }
+        config = asdict(model.config)
     elif isinstance(model, LinearModel):
         kind = "linear"
         arrays = {"w": model.w, "b": model.b}
@@ -588,6 +546,39 @@ def save_model(model, path) -> None:
             fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
 
 
+# per model kind: the integer config keys and the arrays a file must hold
+_MODEL_LAYOUT = {
+    "gru": (("seq_len", "feat_dim", "hidden_size", "n_classes", "seed"),
+            GATE_PARAM_NAMES + ("w_out", "b_out")),
+    "linear": (("n_classes",), ("w", "b")),
+}
+
+
+def _header_problem(header) -> str | None:
+    """Why a model header cannot be loaded, or None when it can."""
+    if not isinstance(header, dict):
+        return "bad model header: not a JSON object"
+    if header.get("format_version") != MODEL_FORMAT_VERSION:
+        return f"unsupported format version {header.get('format_version')}"
+    if header.get("kind") not in _MODEL_LAYOUT:
+        return f"unknown model kind {header.get('kind')!r}"
+    config, manifest = header.get("config"), header.get("manifest")
+    if not isinstance(config, dict) or not isinstance(manifest, list):
+        return "bad model header: needs a 'config' object and a 'manifest' list"
+    for entry in manifest:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], list)
+                and all(isinstance(d, int) and d >= 0 for d in entry[1])):
+            return f"bad manifest entry {entry!r}; want [name, [dims >= 0]]"
+    keys, arrays = _MODEL_LAYOUT[header["kind"]]
+    names = {name for name, _ in manifest}
+    if "norm_loc" in names:
+        arrays += ("norm_scale",)
+    missing = ([k for k in keys if not isinstance(config.get(k), int)]
+               + [n for n in arrays if n not in names])
+    return f"model header lacks {', '.join(missing)}" if missing else None
+
+
 def load_model(path):
     with open(path, "rb") as fh:
         magic = fh.read(len(MODEL_MAGIC))
@@ -598,11 +589,9 @@ def load_model(path):
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: bad model header: {exc}")
-        if header.get("format_version") != MODEL_FORMAT_VERSION:
-            raise DataFormatError(
-                f"{path}: unsupported format version "
-                f"{header.get('format_version')}"
-            )
+        problem = _header_problem(header)
+        if problem:
+            raise DataFormatError(f"{path}: {problem}")
         arrays = {}
         for name, shape in header["manifest"]:
             count = int(np.prod(shape)) if shape else 1
@@ -617,13 +606,9 @@ def load_model(path):
                          loc=arrays.pop("norm_loc"),
                          scale=arrays.pop("norm_scale"))
     if header["kind"] == "gru":
-        mc = ModelConfig(seq_len=config["seq_len"], feat_dim=config["feat_dim"],
-                         hidden_size=config["hidden_size"],
-                         n_classes=config["n_classes"], seed=config["seed"])
+        mc = ModelConfig(**{k: config[k] for k in _MODEL_LAYOUT["gru"][0]})
         gates = {n: arrays[n] for n in GATE_PARAM_NAMES}
         return GruModel(config=mc, params=GruParams(**gates),
                         w_out=arrays["w_out"], b_out=arrays["b_out"], norm=norm)
-    if header["kind"] == "linear":
-        return LinearModel(n_classes=config["n_classes"], w=arrays["w"],
-                           b=arrays["b"], norm=norm)
-    raise DataFormatError(f"{path}: unknown model kind {header['kind']!r}")
+    return LinearModel(n_classes=config["n_classes"], w=arrays["w"],
+                       b=arrays["b"], norm=norm)

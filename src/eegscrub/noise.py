@@ -102,6 +102,12 @@ def _power(samples: np.ndarray) -> float:
     return float(np.mean(samples**2))
 
 
+def blink_bump(width_s: float, fs: float) -> np.ndarray:
+    """Unit raised-cosine eye-blink shape, at least 3 samples long."""
+    width = max(3, int(round(width_s * fs)))
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(width) / (width - 1)))
+
+
 def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
     """Draw one deterministic contaminant realization."""
     if n < 1:
@@ -148,8 +154,8 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
             envelope[:burst] = 1.0  # duty rounding must not yield silence
         samples = raw * envelope
     elif spec.kind == "blink":
-        width = max(3, int(round(p["width"] * fs)))
-        bump = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(width) / (width - 1)))
+        bump = blink_bump(p["width"], fs)
+        width = len(bump)
         samples = np.zeros(n)
         expected = p["rate"] * (n / fs) / 60.0
         n_events = rng.poisson(expected) if expected > 0 else 0

@@ -7,6 +7,7 @@ from eegscrub.bench import (
     make_clean,
     run_bench,
 )
+from eegscrub.denoise import METHOD_IDS
 from eegscrub.noise import NoiseSpec
 
 
@@ -95,3 +96,19 @@ class TestBlinkTemplateShape:
         assert x.max() == pytest.approx(1.0)
         assert x[0] == pytest.approx(0.0, abs=1e-12)
         assert len(x) == int(round(0.3 * 256.0))
+
+
+class TestEveryMethod:
+    def test_one_finite_row_per_cell(self):
+        noises = ["kind=awgn", "kind=powerline"]
+        snrs = [-5.0, 5.0]
+        result = run_bench(METHOD_IDS, noises, snrs, [0, 1], n=1024)
+        rows = result["rows"]
+        cells = {(r["method"], r["noise_kind"], r["target_snr_db"])
+                 for r in rows}
+        assert len(rows) == len(cells) == len(METHOD_IDS) * 2 * 2
+        assert {m for m, _, _ in cells} == set(METHOD_IDS)
+        for row in rows:
+            for key, value in row.items():
+                if isinstance(value, float):
+                    assert np.isfinite(value), (row["method"], key)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from eegscrub import (
     save_feature_csv,
 )
 from eegscrub.cli import main
+from eegscrub.denoise import METHOD_IDS
+from eegscrub.gru import MODEL_MAGIC
 
 
 def run(*argv):
@@ -183,3 +187,52 @@ class TestBench:
         report = read_report(str(out) + ".report.json")
         assert report["config"]["n_seeds"] == 2
         assert len(report["results"]["rows"]) == 2
+
+
+class TestDenoiseEveryMethod:
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_method(self, raw_csv, tmp_path, method):
+        out = tmp_path / "clean.csv"
+        assert run("denoise", "--in", str(raw_csv), "--method", method,
+                   "--out", str(out)) == 0
+        before, after = load_raw_csv(raw_csv), load_raw_csv(out)
+        assert after.channel_names == before.channel_names
+        assert after.n_samples == before.n_samples
+        report = read_report(str(out) + ".report.json")
+        assert report["config"]["method"] == method
+        reports = report["results"]["reports"]
+        assert reports
+        assert all(r["method_id"] == method for r in reports)
+
+
+_GRU_CONFIG = {"seq_len": 16, "feat_dim": 2, "hidden_size": 4,
+               "n_classes": 3, "seed": 0}
+_LINEAR_ARRAYS = [["w", [3, 24]], ["b", [3]]]
+
+MALFORMED_HEADERS = {
+    "missing_manifest": {"format_version": 1, "kind": "linear",
+                         "config": {"n_classes": 3}},
+    "missing_config": {"format_version": 1, "kind": "linear",
+                       "manifest": _LINEAR_ARRAYS},
+    "gru_empty_manifest": {"format_version": 1, "kind": "gru",
+                           "config": _GRU_CONFIG, "manifest": []},
+    "json_list": [1, "linear"],
+    "negative_shape": {"format_version": 1, "kind": "linear",
+                       "config": {"n_classes": 3},
+                       "manifest": [["w", [-3, 24]], ["b", [3]]]},
+}
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_data_error_not_traceback(self, tmp_path, labeled_csv, capsys,
+                                      case):
+        path = tmp_path / "model.bin"
+        # enough float64 payload for every array the header names
+        path.write_bytes(MODEL_MAGIC
+                         + json.dumps(MALFORMED_HEADERS[case]).encode()
+                         + b"\n" + bytes(8 * (3 * 24 + 3)))
+        assert run("eval", "--features", str(labeled_csv),
+                   "--model", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
