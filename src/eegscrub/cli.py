@@ -8,7 +8,6 @@ the EEGSCRUB_SEED environment variable, then 0.
 """
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import asdict, replace
@@ -23,6 +22,7 @@ from .dataset import (
     parse_label,
     save_feature_csv,
     save_raw_csv,
+    write_csv,
     write_report,
 )
 from .denoise import METHOD_IDS, METHODS, apply_method
@@ -260,8 +260,8 @@ def _cmd_bench(args, seed: int) -> int:
         raise UsageError("--seeds must be >= 1")
     seeds = [seed + i for i in range(args.seeds)]
     result = run_bench(methods, noises, snrs, seeds, n=args.n, fs=args.fs)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(leaderboard_csv_rows(result))
+    header, *rows = leaderboard_csv_rows(result)
+    write_csv(args.out, header, rows)
     write_report({
         "command": "bench",
         "config": {"methods": methods, "noises": noises, "snrs_db": snrs,
@@ -296,17 +296,6 @@ def _cmd_extract(args, seed: int) -> int:
     return 0
 
 
-def _write_history_csv(history, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "train_acc",
-                         "val_loss", "val_acc"])
-        for row in history:
-            writer.writerow([row["epoch"], repr(row["train_loss"]),
-                             repr(row["train_acc"]), repr(row["val_loss"]),
-                             repr(row["val_acc"])])
-
-
 def _cmd_train(args, seed: int) -> int:
     report_path = args.report or _default_report(args.model)
     _check_no_clobber([args.features],
@@ -327,7 +316,8 @@ def _cmd_train(args, seed: int) -> int:
         model_config = {"n_classes": len(dataset.class_names)}
     save_model(model, args.model)
     if args.history:
-        _write_history_csv(history, args.history)
+        write_csv(args.history, list(history[0]),
+                  (row.values() for row in history))
     write_report({
         "command": "train",
         "config": {"features": str(args.features), "model": str(args.model),
@@ -375,13 +365,10 @@ def _cmd_predict(args, seed: int) -> int:
     model = load_model(args.model)
     probs = model.predict_proba(matrix.rows)
     predicted = probs.argmax(axis=1)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "label", "class"]
-                        + [f"p_{n}" for n in CLASS_NAMES])
-        for i, (cls, p) in enumerate(zip(predicted, probs)):
-            writer.writerow([i, int(cls), CLASS_NAMES[int(cls)]]
-                            + [repr(float(v)) for v in p])
+    write_csv(args.out,
+              ["row", "label", "class"] + [f"p_{n}" for n in CLASS_NAMES],
+              ([i, cls, CLASS_NAMES[cls]] + p for i, (cls, p)
+               in enumerate(zip(predicted.tolist(), probs.tolist()))))
     write_report({
         "command": "predict",
         "config": {"features": str(args.features), "model": str(args.model),

@@ -255,6 +255,14 @@ def denormalize(data, stats: NormStats):
     return (cols * stats.scale + stats.loc).reshape(arr.shape)
 
 
+def pearson(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Pearson correlation of equal-length arrays; None if one is constant."""
+    sa, sb = a.std(), b.std()
+    if sa == 0.0 or sb == 0.0:
+        return None
+    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+
+
 def moving_average(signal: Signal, width: int) -> Signal:
     """Centered moving average with symmetric edge padding."""
     width = int(width)

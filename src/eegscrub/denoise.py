@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Recording, Signal, moving_average
+from .core import Recording, Signal, moving_average, pearson
 from .decompose import cca, dwt_forward, dwt_inverse, emd, ssa_decompose
 from .errors import DivergenceError, NumericDegeneracyError, TooShortError
 
@@ -194,12 +194,9 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
     sources = result.sources.to_array().T
     zeroed = []
     for i, src in enumerate(sources):
-        a, b = src[1:], src[:-1]
-        sa, sb = a.std(), b.std()
-        rho = 1.0 if sa == 0 or sb == 0 else float(
-            np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb)
-        )
-        if rho < autocorr_thresh:
+        rho = pearson(src[1:], src[:-1])
+        # a constant source counts as fully autocorrelated and is kept
+        if (1.0 if rho is None else rho) < autocorr_thresh:
             zeroed.append(i)
     sources_clean = sources.copy()
     sources_clean[zeroed] = 0.0

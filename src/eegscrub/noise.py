@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal as sps
 
-from .core import Signal
+from .core import Signal, pearson
 from .errors import DegenerateInputError, InvalidSpecError
 from .rng import rng_stream
 
@@ -207,13 +207,10 @@ def compute_metrics(clean: Signal, test: Signal) -> dict:
     rmse = float(np.sqrt(np.mean(err**2)))
     p_err = _power(err)
     snr_db = math.inf if p_err == 0.0 else 10.0 * math.log10(_power(c) / p_err)
-    degenerate = bool(c.std() == 0.0 or x.std() == 0.0)
-    corr = 0.0 if degenerate else float(
-        np.mean((c - c.mean()) * (x - x.mean())) / (c.std() * x.std())
-    )
+    corr = pearson(c, x)
     return {
         "snr_db": snr_db,
         "rmse": rmse,
-        "corr": corr,
-        "degenerate_corr": degenerate,
+        "corr": 0.0 if corr is None else corr,
+        "degenerate_corr": corr is None,
     }

@@ -1,10 +1,6 @@
 import pytest
 
-CRITERION_LINES = []
-
-
-def record_criterion(line: str) -> None:
-    CRITERION_LINES.append(line)
+from acceptance_summary import CRITERION_LINES
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

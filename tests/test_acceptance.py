@@ -45,7 +45,7 @@ from eegscrub.gru import (
     train,
     train_linear_baseline,
 )
-from conftest import record_criterion
+from acceptance_summary import record_criterion
 
 FS = 256.0
 DATASET_ENV = "EEGSCRUB_DATASET"

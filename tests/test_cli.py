@@ -70,6 +70,23 @@ class TestExitCodes:
                    "--out", str(raw_csv)) == 1
         assert "refusing" in capsys.readouterr().err
 
+    def test_repeated_channel_names_data_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a\n" + "1.0,2.0\n" * 600, encoding="utf-8")
+        assert run("denoise", "--in", str(path), "--method", "dwt",
+                   "--out", str(tmp_path / "out.csv")) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'a'" in err
+
+    def test_non_finite_feature_data_error(self, tmp_path, capsys):
+        path = tmp_path / "feats.csv"
+        path.write_text("a,b,label\n1.0,nan,NEUTRAL\n", encoding="utf-8")
+        assert run("predict", "--features", str(path),
+                   "--model", str(tmp_path / "m.bin"),
+                   "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "row 2" in err and "'b'" in err
+
     def test_corrupt_model_is_data_error(self, tmp_path, labeled_csv):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")

@@ -13,6 +13,7 @@ from eegscrub import (
     save_raw_csv,
     write_report,
 )
+from eegscrub.dataset import _BLOCK_ROWS
 from eegscrub.errors import DataFormatError
 
 
@@ -47,6 +48,38 @@ class TestFeatureCsv:
         with pytest.raises(DataFormatError) as err:
             load_feature_csv(path)
         assert "b" in str(err.value) and "row 2" in str(err.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path, cell):
+        path = self.write(tmp_path, f"a,b,label\n1.0,2.0,NEUTRAL\n"
+                                    f"3.0,{cell},NEUTRAL\n")
+        with pytest.raises(DataFormatError) as err:
+            load_feature_csv(path)
+        msg = str(err.value)
+        assert str(path) in msg and "row 3" in msg and "'b'" in msg
+
+    def test_label_column_anywhere(self, tmp_path):
+        path = self.write(tmp_path, "a,label,b\n1.0,NEGATIVE,2.0\n"
+                                    "3.0,POSITIVE,4.0\n")
+        ds = load_feature_csv(path)
+        assert ds.features.feature_names == ("a", "b")
+        assert np.array_equal(ds.features.rows, [[1.0, 2.0], [3.0, 4.0]])
+        assert ds.features.labels == (0, 2)
+
+    def test_bad_cell_after_blank_line_names_physical_row(self, tmp_path):
+        path = self.write(tmp_path, "a,label\n1.0,NEUTRAL\n\n\nx,NEUTRAL\n")
+        with pytest.raises(DataFormatError, match="row 5: column 'a'"):
+            load_feature_csv(path)
+
+    def test_bad_cell_in_a_later_block_named(self, tmp_path):
+        n = 2 * _BLOCK_ROWS + 3
+        lines = [f"{i}.0,{i}.5,NEUTRAL" for i in range(n)]
+        lines[_BLOCK_ROWS + 7] = "1.0,2..5,NEUTRAL"
+        path = self.write(tmp_path, "a,b,label\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_feature_csv(path)
+        assert (f"row {_BLOCK_ROWS + 9}: column 'b': cannot parse '2..5'"
+                in str(err.value))
 
     def test_missing_label_column(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1.0,2.0\n")
@@ -109,6 +142,32 @@ class TestRawCsv:
         rec = load_raw_csv(path)
         assert rec.n_samples == 2
         assert rec.subject_meta["rejected_rows"] == 1
+
+    def test_non_finite_rows_counted_across_blocks(self, tmp_path):
+        n = 2 * _BLOCK_ROWS + 5
+        bad = {3, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 4}
+        lines = [f"{i}.0,{'inf' if i in bad else i}" for i in range(n)]
+        path = tmp_path / "raw.csv"
+        path.write_text("a,b\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        rec = load_raw_csv(path)
+        assert rec.subject_meta["rejected_rows"] == len(bad)
+        kept = [float(i) for i in range(n) if i not in bad]
+        assert np.array_equal(rec.channels[0].samples, kept)
+
+    def test_iso_date_timestamp_dropped_unparsed(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("Date,TP9\n2024-05-01T10:00:00,1.0\n"
+                        "2024-05-01T10:00:01,2.0\n", encoding="utf-8")
+        rec = load_raw_csv(path)
+        assert rec.channel_names == ("TP9",)
+        assert np.array_equal(rec.channels[0].samples, [1.0, 2.0])
+
+    def test_duplicate_channel_names_named(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("a,b,a\n1.0,2.0,3.0\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            load_raw_csv(path)
+        assert str(path) in str(err.value) and "'a'" in str(err.value)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "raw.csv"
