@@ -4,19 +4,21 @@ extract-features -> train -> eval -> predict.
 Exit codes: 0 success, 1 usage error, 2 data/runtime error. Every run writes
 a JSON report embedding the fully resolved configuration, so a run can be
 reproduced from its report alone. The seed comes from --seed, falling back to
-the EEGSCRUB_SEED environment variable, then 0.
+the EEGSCRUB_SEED environment variable, then 0. No output path, the report
+included, may be an input path or another output path of the same run.
 """
 
 import argparse
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .bench import leaderboard_csv_rows, make_blink_template, make_clean, run_bench
 from .core import Recording
 from .dataset import (
     CLASS_NAMES,
-    LabeledDataset,
     load_feature_csv,
     load_raw_csv,
     parse_label,
@@ -65,38 +67,22 @@ def _resolve_seed(value) -> int:
     return 0
 
 
-def _default_report(primary_output: str) -> str:
-    return str(primary_output) + ".report.json"
-
-
-def _check_no_clobber(inputs, outputs):
-    in_paths = {os.path.abspath(p) for p in inputs if p}
-    for out in outputs:
-        if out and os.path.abspath(out) in in_paths:
-            raise UsageError(
-                f"refusing to overwrite input file {out!r}; "
-                "choose a different output path"
-            )
-
-
-def _add_seed(p) -> None:
-    # SUPPRESS keeps a subcommand-level default from clobbering a root value
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="master seed (fallback: EEGSCRUB_SEED, then 0)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="eegscrub",
                      description="EEG artifact removal and emotion "
                                  "classification toolkit")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (fallback: EEGSCRUB_SEED, then 0)")
-    sub = parser.add_subparsers(dest="command")
+    common = argparse.ArgumentParser(add_help=False)
+    # SUPPRESS keeps a subcommand-level default from clobbering a root value
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="master seed (fallback: EEGSCRUB_SEED, then 0)")
+    common.add_argument("--report", default=None, help="JSON report path")
+    add = partial(parser.add_subparsers(dest="command").add_parser,
+                  parents=[common])
 
-    p = sub.add_parser("simulate", help="write a surrogate recording")
-    _add_seed(p)
+    p = add("simulate", help="write a surrogate recording")
     p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
     p.add_argument("--duration", type=float, default=8.0)
     p.add_argument("--fs", type=float, default=256.0)
     p.add_argument("--channels", type=int, default=4)
@@ -104,12 +90,10 @@ def build_parser() -> _Parser:
                    help="noise spec text, e.g. kind=emg_burst,duty=0.5,seed=7")
     p.add_argument("--snr", type=float, default=0.0)
 
-    p = sub.add_parser("denoise", help="apply one artifact-removal method")
-    _add_seed(p)
+    p = add("denoise", help="apply one artifact-removal method")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--method", required=True, choices=sorted(METHOD_IDS))
     p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
     p.add_argument("--fs", type=float, default=256.0)
     for param in _METHOD_PARAMS:
         p.add_argument("--" + param.name.replace("_", "-"), type=param.type,
@@ -122,8 +106,7 @@ def build_parser() -> _Parser:
                    help="comma-separated frontal channel names for "
                         "blink_template (default: first two channels)")
 
-    p = sub.add_parser("bench", help="run the Monte-Carlo benchmark grid")
-    _add_seed(p)
+    p = add("bench", help="run the Monte-Carlo benchmark grid")
     p.add_argument("--methods", default="identity,dwt,emd_maf,ssa_motion,"
                                         "ssa_cca,akf,cascade_lms")
     p.add_argument("--noises",
@@ -136,24 +119,19 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=2048)
     p.add_argument("--fs", type=float, default=256.0)
     p.add_argument("--out", required=True, help="leaderboard CSV path")
-    p.add_argument("--report", default=None)
 
-    p = sub.add_parser("extract-features", help="epoch features from raw CSV")
-    _add_seed(p)
+    p = add("extract-features", help="epoch features from raw CSV")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
     p.add_argument("--fs", type=float, default=256.0)
     p.add_argument("--window-s", type=float, default=2.0)
     p.add_argument("--overlap", type=float, default=0.5)
     p.add_argument("--label", default=None)
 
-    p = sub.add_parser("train", help="train the GRU or the linear baseline")
-    _add_seed(p)
+    p = add("train", help="train the GRU or the linear baseline")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--history", default=None, help="per-epoch CSV path")
-    p.add_argument("--report", default=None)
     p.add_argument("--model-kind", choices=("gru", "linear"), default="gru")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch-size", type=int, default=32)
@@ -162,23 +140,18 @@ def build_parser() -> _Parser:
     p.add_argument("--val-fraction", type=float, default=0.15)
     p.add_argument("--grad-clip", type=float, default=5.0)
 
-    p = sub.add_parser("eval", help="evaluate a trained model")
-    _add_seed(p)
+    p = add("eval", help="evaluate a trained model")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--report", default=None)
 
-    p = sub.add_parser("predict", help="write per-row class predictions")
-    _add_seed(p)
+    p = add("predict", help="write per-row class predictions")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
     return parser
 
 
-def _cmd_simulate(args, seed: int) -> int:
-    report_path = args.report or _default_report(args.out)
+def _cmd_simulate(args, seed: int) -> tuple:
     n = int(round(args.duration * args.fs))
     channels, names = [], []
     spec = NoiseSpec.from_text(args.noise) if args.noise else None
@@ -188,7 +161,7 @@ def _cmd_simulate(args, seed: int) -> int:
         if spec is not None:
             noise = gen_noise(replace(spec, seed=spec.seed + seed + c), n,
                               args.fs)
-            mixed, mrep = mix_at_snr(clean, noise, args.snr, spec=spec)
+            mixed, mrep = mix_at_snr(clean, noise, args.snr)
             mix_info.append({"channel": c,
                              "achieved_snr_db": mrep.achieved_snr_db,
                              "noise_scale": mrep.noise_scale})
@@ -198,15 +171,11 @@ def _cmd_simulate(args, seed: int) -> int:
         names.append(f"ch{c}")
     rec = Recording(channels=tuple(channels), channel_names=tuple(names))
     save_raw_csv(rec, args.out)
-    write_report({
-        "command": "simulate",
-        "config": {"out": str(args.out), "duration": args.duration,
-                   "fs": args.fs, "channels": args.channels,
-                   "noise": spec.to_text() if spec else None,
-                   "snr_db": args.snr if spec else None, "seed": seed},
-        "results": {"n_samples": n, "mixes": mix_info},
-    }, report_path)
-    return 0
+    config = {"out": str(args.out), "duration": args.duration, "fs": args.fs,
+              "channels": args.channels,
+              "noise": spec.to_text() if spec else None,
+              "snr_db": args.snr if spec else None}
+    return config, {"n_samples": n, "mixes": mix_info}
 
 
 def _method_inputs(args, rec: Recording, seed: int) -> tuple:
@@ -225,9 +194,7 @@ def _method_inputs(args, rec: Recording, seed: int) -> tuple:
     return ()
 
 
-def _cmd_denoise(args, seed: int) -> int:
-    report_path = args.report or _default_report(args.out)
-    _check_no_clobber([args.input], [args.out, report_path])
+def _cmd_denoise(args, seed: int) -> tuple:
     rec = load_raw_csv(args.input, fs=args.fs)
     params = {p.name: getattr(args, p.name)
               for p in METHODS[args.method].params}
@@ -236,23 +203,17 @@ def _cmd_denoise(args, seed: int) -> int:
     save_raw_csv(out, args.out)
     config = {
         "in": str(args.input), "out": str(args.out), "method": args.method,
-        "fs": args.fs, "seed": seed, "ref_noise": args.ref_noise,
+        "fs": args.fs, "ref_noise": args.ref_noise,
         "template_width": args.template_width, "frontal": args.frontal,
     }
     config.update({p.name: getattr(args, p.name) for p in _METHOD_PARAMS})
-    write_report({
-        "command": "denoise",
-        "config": config,
-        "results": {
-            "rejected_rows": rec.subject_meta.get("rejected_rows", 0),
-            "reports": [asdict(r) for r in reps],
-        },
-    }, report_path)
-    return 0
+    return config, {
+        "rejected_rows": rec.subject_meta.get("rejected_rows", 0),
+        "reports": [asdict(r) for r in reps],
+    }
 
 
-def _cmd_bench(args, seed: int) -> int:
-    report_path = args.report or _default_report(args.out)
+def _cmd_bench(args, seed: int) -> tuple:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     noises = [s.strip() for s in args.noises.split(";") if s.strip()]
     snrs = [float(s) for s in args.snrs.split(",") if s.strip()]
@@ -262,19 +223,13 @@ def _cmd_bench(args, seed: int) -> int:
     result = run_bench(methods, noises, snrs, seeds, n=args.n, fs=args.fs)
     header, *rows = leaderboard_csv_rows(result)
     write_csv(args.out, header, rows)
-    write_report({
-        "command": "bench",
-        "config": {"methods": methods, "noises": noises, "snrs_db": snrs,
-                   "n_seeds": args.seeds, "n": args.n, "fs": args.fs,
-                   "seed": seed, "out": str(args.out)},
-        "results": {"rows": result["rows"]},
-    }, report_path)
-    return 0
+    config = {"methods": methods, "noises": noises, "snrs_db": snrs,
+              "n_seeds": args.seeds, "n": args.n, "fs": args.fs,
+              "out": str(args.out)}
+    return config, {"rows": result["rows"]}
 
 
-def _cmd_extract(args, seed: int) -> int:
-    report_path = args.report or _default_report(args.out)
-    _check_no_clobber([args.input], [args.out, report_path])
+def _cmd_extract(args, seed: int) -> tuple:
     rec = load_raw_csv(args.input, fs=args.fs)
     label = None
     if args.label is not None:
@@ -285,21 +240,14 @@ def _cmd_extract(args, seed: int) -> int:
     matrix = build_feature_matrix(rec, args.window_s, args.overlap,
                                   label=label)
     save_feature_csv(matrix, args.out)
-    write_report({
-        "command": "extract-features",
-        "config": {"in": str(args.input), "out": str(args.out), "fs": args.fs,
-                   "window_s": args.window_s, "overlap": args.overlap,
-                   "label": label, "seed": seed},
-        "results": {"n_rows": matrix.n_rows, "n_features": matrix.n_features,
-                    "rejected_rows": rec.subject_meta.get("rejected_rows", 0)},
-    }, report_path)
-    return 0
+    config = {"in": str(args.input), "out": str(args.out), "fs": args.fs,
+              "window_s": args.window_s, "overlap": args.overlap,
+              "label": label}
+    return config, {"n_rows": matrix.n_rows, "n_features": matrix.n_features,
+                    "rejected_rows": rec.subject_meta.get("rejected_rows", 0)}
 
 
-def _cmd_train(args, seed: int) -> int:
-    report_path = args.report or _default_report(args.model)
-    _check_no_clobber([args.features],
-                      [args.model, args.history, report_path])
+def _cmd_train(args, seed: int) -> tuple:
     dataset = load_feature_csv(args.features)
     tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                      learning_rate=args.lr, grad_clip=args.grad_clip,
@@ -318,20 +266,13 @@ def _cmd_train(args, seed: int) -> int:
     if args.history:
         write_csv(args.history, list(history[0]),
                   (row.values() for row in history))
-    write_report({
-        "command": "train",
-        "config": {"features": str(args.features), "model": str(args.model),
-                   "history": args.history, "model_kind": args.model_kind,
-                   "model_config": model_config,
-                   "train_config": asdict(tc), "seed": seed},
-        "results": {"final": history[-1], "n_rows": dataset.features.n_rows},
-    }, report_path)
-    return 0
+    config = {"features": str(args.features), "model": str(args.model),
+              "history": args.history, "model_kind": args.model_kind,
+              "model_config": model_config, "train_config": asdict(tc)}
+    return config, {"final": history[-1], "n_rows": dataset.features.n_rows}
 
 
-def _cmd_eval(args, seed: int) -> int:
-    report_path = args.report or _default_report(args.model).replace(
-        ".report.json", ".eval-report.json")
+def _cmd_eval(args, seed: int) -> tuple:
     dataset = load_feature_csv(args.features)
     model = load_model(args.model)
     result = evaluate(model, dataset.features,
@@ -340,28 +281,20 @@ def _cmd_eval(args, seed: int) -> int:
     for i, name in enumerate(dataset.class_names):
         print(f"{name}: precision {result['precision'][i]:.4f} "
               f"recall {result['recall'][i]:.4f} f1 {result['f1'][i]:.4f}")
-    write_report({
-        "command": "eval",
-        "config": {"features": str(args.features), "model": str(args.model),
-                   "seed": seed},
-        "results": {
-            "accuracy": result["accuracy"],
-            "precision": result["precision"],
-            "recall": result["recall"],
-            "f1": result["f1"],
-            "flags": result["flags"],
-            "confusion_counts": result["confusion"].counts,
-            "class_names": dataset.class_names,
-        },
-    }, report_path)
-    return 0
+    config = {"features": str(args.features), "model": str(args.model)}
+    return config, {
+        "accuracy": result["accuracy"],
+        "precision": result["precision"],
+        "recall": result["recall"],
+        "f1": result["f1"],
+        "flags": result["flags"],
+        "confusion_counts": result["confusion"].counts,
+        "class_names": dataset.class_names,
+    }
 
 
-def _cmd_predict(args, seed: int) -> int:
-    report_path = args.report or _default_report(args.out)
-    _check_no_clobber([args.features], [args.out, report_path])
-    loaded = load_feature_csv(args.features, require_label=False)
-    matrix = loaded.features if isinstance(loaded, LabeledDataset) else loaded
+def _cmd_predict(args, seed: int) -> tuple:
+    matrix = load_feature_csv(args.features, require_label=False)
     model = load_model(args.model)
     probs = model.predict_proba(matrix.rows)
     predicted = probs.argmax(axis=1)
@@ -369,26 +302,48 @@ def _cmd_predict(args, seed: int) -> int:
               ["row", "label", "class"] + [f"p_{n}" for n in CLASS_NAMES],
               ([i, cls, CLASS_NAMES[cls]] + p for i, (cls, p)
                in enumerate(zip(predicted.tolist(), probs.tolist()))))
-    write_report({
-        "command": "predict",
-        "config": {"features": str(args.features), "model": str(args.model),
-                   "out": str(args.out), "seed": seed},
-        "results": {"n_rows": int(len(predicted)),
+    config = {"features": str(args.features), "model": str(args.model),
+              "out": str(args.out)}
+    return config, {"n_rows": int(len(predicted)),
                     "class_counts": {CLASS_NAMES[c]: int((predicted == c).sum())
-                                     for c in range(len(CLASS_NAMES))}},
-    }, report_path)
-    return 0
+                                     for c in range(len(CLASS_NAMES))}}
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "denoise": _cmd_denoise,
-    "bench": _cmd_bench,
-    "extract-features": _cmd_extract,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "predict": _cmd_predict,
+class _Command(NamedTuple):
+    handler: Callable  # (args, seed) -> (config, results)
+    reads: tuple  # dests of the flags naming files the command reads
+    writes: tuple  # dests of the flags naming files the command writes
+    report: str  # default report path, formatted with the parsed flags
+
+
+_COMMANDS = {
+    "simulate": _Command(_cmd_simulate, (), ("out",), "{out}.report.json"),
+    "denoise": _Command(_cmd_denoise, ("input",), ("out",),
+                        "{out}.report.json"),
+    "bench": _Command(_cmd_bench, (), ("out",), "{out}.report.json"),
+    "extract-features": _Command(_cmd_extract, ("input",), ("out",),
+                                 "{out}.report.json"),
+    "train": _Command(_cmd_train, ("features",), ("model", "history"),
+                      "{model}.report.json"),
+    "eval": _Command(_cmd_eval, ("features", "model"), (),
+                     "{model}.eval-report.json"),
+    "predict": _Command(_cmd_predict, ("features", "model"), ("out",),
+                        "{out}.report.json"),
 }
+
+
+def _check_paths(args, command: _Command, report_path: str) -> None:
+    """Refuse an output path, the report included, that is an input path or
+    another output path."""
+    # realpath, so a symlink to an input is caught too
+    kinds = {os.path.realpath(getattr(args, f)): "input" for f in command.reads}
+    outputs = [getattr(args, f) for f in command.writes] + [report_path]
+    for out in filter(None, outputs):  # an optional output may be unset
+        path = os.path.realpath(out)
+        if path in kinds:
+            raise UsageError(f"refusing to overwrite {kinds[path]} file "
+                             f"{out!r}; choose a different output path")
+        kinds[path] = "output"
 
 
 def main(argv=None) -> int:
@@ -398,7 +353,14 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required")
         seed = _resolve_seed(args.seed)
-        return _HANDLERS[args.command](args, seed)
+        command = _COMMANDS[args.command]
+        report_path = args.report or command.report.format(**vars(args))
+        _check_paths(args, command, report_path)
+        config, results = command.handler(args, seed)
+        write_report({"command": args.command,
+                      "config": {**config, "seed": seed},
+                      "results": results}, report_path)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

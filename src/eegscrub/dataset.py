@@ -11,6 +11,7 @@ floats are stored as sentinel tokens because strict JSON has none.
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ _SENTINELS = {math.inf: "__inf__", -math.inf: "__-inf__"}
 _TOKENS = {"__inf__": math.inf, "__-inf__": -math.inf, "__nan__": math.nan}
 _TIMESTAMP_HINTS = ("time", "date")
 _BLOCK_ROWS = 256  # data rows converted to floats per np.array call
+_LABEL = "label"  # the feature-table column holding class labels
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,10 @@ def _parse_block(path, block, row_nums, names) -> np.ndarray:
 
 def _read_csv(path, text_column) -> tuple:
     """The one CSV reader. ``text_column(header)`` checks the stripped header
-    and returns the index of a column kept as text, or None. Blank rows are
-    skipped. Returns the names of the other columns, the row number of each
-    data row, their cells as a float64 array, and the text cells."""
+    and returns the index of a column kept as text, or None; a repeated
+    column name is an error. Blank rows are skipped. Returns the names of the
+    other columns, the row number of each data row, their cells as a float64
+    array, and the text cells."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -94,6 +97,9 @@ def _read_csv(path, text_column) -> tuple:
         except StopIteration:
             raise DataFormatError(f"{path}: empty file")
         text_idx = text_column(header)
+        repeated = [h for h, n in Counter(header).items() if n > 1]
+        if repeated:
+            raise DataFormatError(f"{path}: repeated column name {repeated[0]!r}")
         names = [h for i, h in enumerate(header) if i != text_idx]
         row_nums, texts, parsed, block = [], [], [], []
         for row_num, row in enumerate(reader, start=2):
@@ -126,24 +132,23 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def load_feature_csv(path, label_column: str = "label",
+def load_feature_csv(path,
                      require_label: bool = True) -> LabeledDataset | FeatureMatrix:
-    """Read a feature table; returns a LabeledDataset when labels exist."""
+    """Read a feature table as a LabeledDataset; with ``require_label=False``,
+    as a FeatureMatrix whose ``label`` column, if any, is dropped unparsed."""
 
     def label_index(header):
-        if label_column not in header and require_label:
-            raise DataFormatError(
-                f"{path}: no column named {label_column!r} in header"
-            )
-        if header in ([], [label_column]):  # nothing but the label
+        if _LABEL not in header and require_label:
+            raise DataFormatError(f"{path}: no column named {_LABEL!r} in header")
+        if header in ([], [_LABEL]):  # nothing but the label
             raise DataFormatError(f"{path}: no feature columns")
-        return header.index(label_column) if label_column in header else None
+        return header.index(_LABEL) if _LABEL in header else None
 
     names, row_nums, rows, texts = _read_csv(path, label_index)
     if not row_nums:
         raise DataFormatError(f"{path}: no data rows")
     labels = []
-    for row_num, cell in zip(row_nums, texts):
+    for row_num, cell in zip(row_nums, texts if require_label else ()):
         try:
             labels.append(parse_label(cell))
         except ValueError as exc:
@@ -169,7 +174,7 @@ def save_feature_csv(matrix: FeatureMatrix, path,
     header = list(matrix.feature_names)
     rows = (row.tolist() for row in matrix.rows)
     if matrix.labels is not None:
-        header.append("label")
+        header.append(_LABEL)
         rows = (r + [class_names[y]] for r, y in zip(rows, matrix.labels))
     write_csv(path, header, rows)
 
@@ -187,9 +192,6 @@ def load_raw_csv(path, fs: float = 256.0) -> Recording:
         names = header[1:] if stamp == 0 else header
         if not names:
             raise DataFormatError(f"{path}: no channel columns")
-        dup = [n for i, n in enumerate(names) if n in names[:i]]
-        if dup:
-            raise DataFormatError(f"{path}: repeated channel name {dup[0]!r}")
         return stamp
 
     names, _, values, _ = _read_csv(path, timestamp_index)

@@ -95,7 +95,6 @@ class MixReport:
     target_snr_db: float
     achieved_snr_db: float
     noise_scale: float
-    spec: NoiseSpec | None = None
 
 
 def _power(samples: np.ndarray) -> float:
@@ -170,8 +169,7 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
     return Signal(samples=np.asarray(samples, dtype=float), fs=fs)
 
 
-def mix_at_snr(clean: Signal, noise: Signal, snr_db: float,
-               spec: NoiseSpec | None = None) -> tuple:
+def mix_at_snr(clean: Signal, noise: Signal, snr_db: float) -> tuple:
     """Add noise scaled so the clean-to-noise power ratio hits snr_db."""
     if len(clean) != len(noise):
         raise ValueError(
@@ -183,13 +181,13 @@ def mix_at_snr(clean: Signal, noise: Signal, snr_db: float,
         raise DegenerateInputError("clean and noise must not be all-zero")
     if math.isinf(snr_db) and snr_db > 0:
         report = MixReport(target_snr_db=snr_db, achieved_snr_db=math.inf,
-                           noise_scale=0.0, spec=spec)
+                           noise_scale=0.0)
         return clean, report
     scale = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
     mixed = clean.with_samples(clean.samples + scale * noise.samples)
     achieved = 10.0 * math.log10(p_clean / _power(scale * noise.samples))
     report = MixReport(target_snr_db=float(snr_db), achieved_snr_db=achieved,
-                       noise_scale=scale, spec=spec)
+                       noise_scale=scale)
     return mixed, report
 
 

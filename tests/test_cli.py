@@ -11,7 +11,7 @@ from eegscrub import (
     rng_stream,
     save_feature_csv,
 )
-from eegscrub.cli import main
+from eegscrub.cli import _COMMANDS, build_parser, main
 from eegscrub.denoise import METHOD_IDS
 from eegscrub.gru import MODEL_MAGIC
 
@@ -70,6 +70,47 @@ class TestExitCodes:
                    "--out", str(raw_csv)) == 1
         assert "refusing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, target", [
+        (("eval", "--features", "{feats}", "--model", "{model}",
+          "--report", "{feats}"), "feats"),
+        (("eval", "--features", "{feats}", "--model", "{model}",
+          "--report", "{model}"), "model"),
+        (("predict", "--features", "{feats}", "--model", "{model}",
+          "--out", "{model}"), "model"),
+        (("simulate", "--out", "{raw}", "--report", "{raw}"), "raw"),
+        (("bench", "--methods", "identity", "--noises", "kind=awgn",
+          "--snrs", "0", "--seeds", "1", "--n", "256", "--out", "{raw}",
+          "--report", "{raw}"), "raw"),
+        (("train", "--features", "{feats}", "--model", "{model}",
+          "--history", "{model}", "--epochs", "1"), "model"),
+    ], ids=["eval-report-features", "eval-report-model", "predict-out-model",
+            "simulate-report-out", "bench-report-out",
+            "train-history-model"])
+    def test_output_path_taken_refused(self, tmp_path, labeled_csv, capsys,
+                                       argv, target):
+        paths = {"feats": labeled_csv, "model": tmp_path / "m.bin",
+                 "raw": tmp_path / "x.csv"}
+        paths["model"].write_bytes(b"model bytes")
+        paths["raw"].write_bytes(b"raw bytes")
+        before = paths[target].read_bytes()
+        assert run(*(a.format(**paths) for a in argv)) == 1
+        assert "refusing" in capsys.readouterr().err
+        assert paths[target].read_bytes() == before
+
+    def test_symlink_to_input_refused(self, raw_csv, tmp_path, capsys):
+        link = tmp_path / "link.csv"
+        link.symlink_to(raw_csv)
+        before = raw_csv.read_bytes()
+        assert run("denoise", "--in", str(raw_csv), "--method", "dwt",
+                   "--out", str(link)) == 1
+        assert "refusing" in capsys.readouterr().err
+        assert raw_csv.read_bytes() == before
+
+    def test_command_table_names_every_subcommand(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        assert set(sub.choices) == set(_COMMANDS)
+
     def test_repeated_channel_names_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("a,a\n" + "1.0,2.0\n" * 600, encoding="utf-8")
@@ -92,6 +133,19 @@ class TestExitCodes:
         bad.write_bytes(b"garbage")
         assert run("eval", "--features", str(labeled_csv),
                    "--model", str(bad)) == 2
+
+
+    def test_predict_ignores_labels(self, tmp_path, labeled_csv):
+        model = tmp_path / "m.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), "--model-kind", "linear", "--epochs", "1") == 0
+        feats = tmp_path / "happy.csv"
+        feats.write_text(labeled_csv.read_text().replace(
+            "NEGATIVE", "HAPPY"), encoding="utf-8")
+        preds = tmp_path / "p.csv"
+        assert run("predict", "--features", str(feats), "--model",
+                   str(model), "--out", str(preds)) == 0
+        assert len(preds.read_text().strip().split("\n")) == 61
 
 
 class TestSimulate:

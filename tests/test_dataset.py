@@ -81,6 +81,22 @@ class TestFeatureCsv:
         assert (f"row {_BLOCK_ROWS + 9}: column 'b': cannot parse '2..5'"
                 in str(err.value))
 
+    @pytest.mark.parametrize("header", ["a,a,label", "a,label,label"])
+    def test_repeated_column_name_named(self, tmp_path, header):
+        path = self.write(tmp_path, header + "\n1.0,2.0,NEUTRAL\n")
+        name = header.split(",")[1]
+        with pytest.raises(DataFormatError) as err:
+            load_feature_csv(path)
+        msg = str(err.value)
+        assert str(path) in msg and f"repeated column name {name!r}" in msg
+
+    def test_unlabeled_load_drops_label_column_unparsed(self, tmp_path):
+        path = self.write(tmp_path, "a,label,b\n1.0,HAPPY,2.0\n")
+        matrix = load_feature_csv(path, require_label=False)
+        assert isinstance(matrix, FeatureMatrix)
+        assert matrix.feature_names == ("a", "b")
+        assert matrix.labels is None
+
     def test_missing_label_column(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1.0,2.0\n")
         with pytest.raises(DataFormatError, match="label"):
