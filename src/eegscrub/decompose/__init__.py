@@ -11,21 +11,3 @@ from .wavelet import (
     dwt_forward,
     dwt_inverse,
 )
-
-__all__ = [
-    "CcaResult",
-    "cca",
-    "ImfSet",
-    "emd",
-    "find_extrema",
-    "SsaModel",
-    "default_window",
-    "ssa_decompose",
-    "ssa_reconstruct",
-    "DB4_HI",
-    "DB4_LO",
-    "WaveletDecomposition",
-    "band_lengths",
-    "dwt_forward",
-    "dwt_inverse",
-]

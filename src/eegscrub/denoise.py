@@ -30,6 +30,7 @@ class DenoiseReport:
     params: dict = field(default_factory=dict)
     components_removed: tuple = ()
     input_len: int = 0
+    decisions: dict = field(default_factory=dict)  # what the method computed
 
     def __post_init__(self):
         if self.method_id not in METHOD_IDS:
@@ -37,6 +38,7 @@ class DenoiseReport:
                 f"unknown method_id {self.method_id!r}; known: {METHOD_IDS}"
             )
         object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "decisions", dict(self.decisions))
         object.__setattr__(
             self, "components_removed", tuple(self.components_removed)
         )
@@ -135,33 +137,36 @@ def denoise_emd_maf(signal: Signal, ma_width: int = 5) -> tuple:
 def remove_motion_ssa(
     signal: Signal, window_len: int | None = None, var_thresh: float = 0.1
 ) -> tuple:
-    """Drop large, slow SSA components (the motion-artifact signature)."""
+    """Subtract large, slow SSA components (the motion-artifact signature);
+    only those above ``var_thresh`` of the singular-value mass are built."""
     model = ssa_decompose(signal, window_len)
     # linear singular-value mass: a drift spread over a few medium components
     # must still clear the threshold
-    mass = model.singular_values
-    total_mass = mass.sum()
+    mass = model.singular_values / model.singular_values.sum()
     removed = []
-    kept_sum = np.zeros(len(signal))
-    for i, comp in enumerate(model.elementary_components):
-        big = total_mass > 0 and mass[i] / total_mass > var_thresh
-        slow = _dominant_freq(comp.samples, signal.fs) < 1.0
-        if big and slow:
-            removed.append(i)
-        else:
-            kept_sum += comp.samples
+    cleaned = signal.samples.copy()
+    for i in np.flatnonzero(mass > var_thresh):
+        comp = model.component(i).samples
+        if _dominant_freq(comp, signal.fs) < 1.0:
+            removed.append(int(i))
+            cleaned -= comp
     report = DenoiseReport(
         method_id="ssa_motion",
         params={"window_len": str(model.window_len),
                 "var_thresh": str(var_thresh)},
         components_removed=tuple(removed),
         input_len=len(signal),
+        decisions={"mass_removed": float(mass[removed].sum())},
     )
-    return signal.with_samples(kept_sum), report
+    return signal.with_samples(cleaned), report
 
 
 def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple:
-    """SSA-expand each channel, zero low-autocorrelation canonical sources."""
+    """SSA-expand each channel, zero low-autocorrelation canonical sources.
+
+    Only the top 4 SSA components of each channel enter CCA or the output, so
+    this truncation alone removes broadband content.
+    """
     n_ch = len(rec.channels)
     if not 1 <= n_ch <= 8:
         raise ValueError(f"supports 1..8 channels, got {n_ch}")
@@ -171,55 +176,40 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
         )
 
     top_k = 4
-    stacked = []
-    owner = []  # channel index owning each stacked component
+    comps, owner = [], []  # owner: the channel index of each component
     for c, ch in enumerate(rec.channels):
         model = ssa_decompose(ch)
-        for comp in model.elementary_components[:top_k]:
-            stacked.append(comp)
+        for i in range(min(top_k, model.n_components)):
+            comps.append(model.component(i))
             owner.append(c)
-    comp_rec = Recording(
-        channels=tuple(stacked),
-        channel_names=tuple(f"c{i}" for i in range(len(stacked))),
-    )
-    delayed = Recording(
-        channels=tuple(
-            s.with_samples(np.concatenate([s.samples[:1], s.samples[:-1]]))
-            for s in stacked
-        ),
-        channel_names=comp_rec.channel_names,
-    )
-    result = cca(comp_rec, delayed)
+    names = tuple(f"c{i}" for i in range(len(comps)))
+    delayed = [s.with_samples(np.concatenate([s.samples[:1], s.samples[:-1]]))
+               for s in comps]
+    result = cca(Recording(comps, names), Recording(delayed, names))
 
     sources = result.sources.to_array().T
-    zeroed = []
-    for i, src in enumerate(sources):
-        rho = pearson(src[1:], src[:-1])
-        # a constant source counts as fully autocorrelated and is kept
-        if (1.0 if rho is None else rho) < autocorr_thresh:
-            zeroed.append(i)
+    # a constant source counts as fully autocorrelated and is kept
+    autocorrs = [1.0 if rho is None else rho
+                 for rho in (pearson(src[1:], src[:-1]) for src in sources)]
+    zeroed = [i for i, rho in enumerate(autocorrs) if rho < autocorr_thresh]
     sources_clean = sources.copy()
     sources_clean[zeroed] = 0.0
 
-    comps = comp_rec.to_array().T
-    means = comps.mean(axis=1, keepdims=True)
+    stacked = np.array([s.samples for s in comps])
     try:
         back = np.linalg.inv(result.wx)
     except np.linalg.LinAlgError:
         raise NumericDegeneracyError("canonical projection is not invertible")
-    comps_clean = back @ sources_clean + means
-
-    out_channels = []
-    for c in range(n_ch):
-        rows = [i for i, o in enumerate(owner) if o == c]
-        out_channels.append(
-            rec.channels[c].with_samples(comps_clean[rows].sum(axis=0))
-        )
+    cleaned = back @ sources_clean + stacked.mean(axis=1, keepdims=True)
+    out_channels = [ch.with_samples(cleaned[np.equal(owner, c)].sum(axis=0))
+                    for c, ch in enumerate(rec.channels)]
     report = DenoiseReport(
         method_id="ssa_cca",
         params={"autocorr_thresh": str(autocorr_thresh), "top_k": str(top_k)},
         components_removed=tuple(zeroed),
         input_len=rec.n_samples,
+        decisions={"canonical_correlations": result.correlations.tolist(),
+                   "lag1_autocorrelations": autocorrs},
     )
     return rec.with_channels(out_channels), report
 
@@ -275,6 +265,9 @@ def cascade_lms(
     n = len(current)
     for stage, ref in enumerate(references):
         x = ref.samples
+        # scaled to the reference power, so the nearly empty first windows
+        # of a weak reference take no huge steps; positive for a zero one
+        delta = 1e-3 * taps * float(np.var(x)) or np.finfo(float).tiny
         w = np.zeros(taps)
         out = np.empty(n)
         window = np.zeros(taps)  # window[0] is the newest sample
@@ -286,7 +279,7 @@ def cascade_lms(
                 window[0] = x[t]
                 err = current[t] - w @ window
                 out[t] = err
-                w = w + mu * err * window / (window @ window + 1e-8)
+                w = w + mu * err * window / (window @ window + delta)
         if not np.all(np.isfinite(out)) or float(out @ out) > 100.0 * stage_in_energy:
             raise DivergenceError(
                 f"NLMS stage {stage} diverged (mu={mu}, taps={taps})"

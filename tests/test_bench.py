@@ -112,3 +112,13 @@ class TestEveryMethod:
             for key, value in row.items():
                 if isinstance(value, float):
                     assert np.isfinite(value), (row["method"], key)
+
+
+class TestCascadeLmsOnFullDutyEmg:
+    def test_seed_zero_draw_converges(self):
+        # the draw that made the default grid abort with DivergenceError
+        result = run_bench(["cascade_lms"], ["kind=emg_burst,duty=1"],
+                           [-5.0, 0.0, 5.0], [0])
+        assert len(result["rows"]) == 3
+        for row in result["rows"]:
+            assert np.isfinite(row["median_out_snr_db"])

@@ -259,6 +259,12 @@ class TestBench:
         assert report["config"]["n_seeds"] == 2
         assert len(report["results"]["rows"]) == 2
 
+    def test_cascade_lms_on_full_duty_emg(self, tmp_path):
+        out = tmp_path / "leaderboard.csv"
+        assert run("bench", "--methods", "cascade_lms", "--noises",
+                   "kind=emg_burst,duty=1", "--snrs", "0", "--seeds", "1",
+                   "--out", str(out)) == 0
+
 
 class TestDenoiseEveryMethod:
     @pytest.mark.parametrize("method", METHOD_IDS)

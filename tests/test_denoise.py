@@ -21,6 +21,7 @@ from eegscrub import (
     rng_stream,
 )
 from eegscrub.bench import make_blink_template
+from eegscrub.decompose import ssa_decompose, ssa_reconstruct
 from eegscrub.errors import DivergenceError, TooShortError
 
 FS = 256.0
@@ -126,6 +127,19 @@ class TestSsaMotion:
         assert (np.sqrt(np.mean(out.samples**2))
                 < 0.1 * np.sqrt(np.mean(drift.samples**2)))
 
+    def test_output_is_input_minus_removed_components(self):
+        _, mixed = self.drifted(0)
+        out, report = remove_motion_ssa(mixed)
+        model = ssa_decompose(mixed)
+        removed = list(report.components_removed)
+        assert removed
+        expected = mixed.samples - ssa_reconstruct(model, removed).samples
+        scale = np.max(np.abs(mixed.samples))
+        assert np.max(np.abs(out.samples - expected)) < 1e-12 * scale
+        mass = model.singular_values / model.singular_values.sum()
+        assert report.decisions["mass_removed"] == pytest.approx(
+            mass[removed].sum(), rel=1e-12)
+
 
 class TestSsaCca:
     def four_channel(self, seed, n=2048):
@@ -179,6 +193,17 @@ class TestSsaCca:
                         channel_names=("only",))
         with pytest.raises(TooShortError):
             remove_muscle_ssa_cca(rec)
+
+    def test_report_names_correlations_and_autocorrelations(self):
+        _, mixed_rec = self.four_channel(0)
+        _, report = remove_muscle_ssa_cca(mixed_rec, autocorr_thresh=0.9)
+        corrs = report.decisions["canonical_correlations"]
+        autocorrs = report.decisions["lag1_autocorrelations"]
+        assert len(corrs) == len(autocorrs) == 4 * 4  # top 4 per channel
+        assert corrs == sorted(corrs, reverse=True)
+        assert all(0.0 <= c <= 1.0 for c in corrs)
+        assert report.components_removed == tuple(
+            i for i, rho in enumerate(autocorrs) if rho < 0.9)
 
 
 class TestAdaptiveKalman:
@@ -251,6 +276,23 @@ class TestCascadeLms:
         ref = gen_noise(NoiseSpec("awgn", {}, seed=1), len(x), FS)
         with pytest.raises(DivergenceError, match="stage 0"):
             cascade_lms(x, [ref], mu=500.0)
+
+    def test_reference_scale_does_not_matter(self):
+        # the regulariser follows the reference power, so a weak reference
+        # (the first windows of a filtered EMG one hold almost no energy)
+        # takes the same normalized steps as a strong one
+        x = contaminated(sine(10.0), "emg_burst", 0, duty=1.0)
+        ref = gen_noise(NoiseSpec("emg_burst", {"duty": 1.0}, seed=7),
+                        len(x), FS)
+        strong, _ = cascade_lms(x, [ref])
+        weak, _ = cascade_lms(x, [ref.with_samples(1e-4 * ref.samples)])
+        scale = np.max(np.abs(x.samples))
+        assert np.max(np.abs(weak.samples - strong.samples)) < 1e-9 * scale
+
+    def test_all_zero_reference_passes_through(self):
+        x = sine(10.0)
+        out, _ = cascade_lms(x, [x.with_samples(np.zeros(len(x)))])
+        assert np.array_equal(out.samples, x.samples)
 
 
 class TestBlinkTemplate:

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import eegscrub
 from eegscrub import Signal, rng_stream
 from eegscrub.decompose import default_window, ssa_decompose, ssa_reconstruct
 
@@ -62,3 +67,82 @@ class TestDecompose:
         model = ssa_decompose(sine(5.0, n=128), window_len=16)
         with pytest.raises(ValueError):
             ssa_reconstruct(model, [model.n_components])
+
+
+def trajectory_svd_components(x, window_len):
+    """Reference elementary components from the SVD of the trajectory matrix."""
+    traj = np.lib.stride_tricks.sliding_window_view(x, window_len).T
+    u, s, vt = np.linalg.svd(traj, full_matrices=False)
+    counts = np.convolve(np.ones(window_len), np.ones(traj.shape[1]))
+    return s, [s[i] * np.convolve(u[:, i], vt[i]) / counts
+               for i in range(len(s))]
+
+
+class TestAgainstTrajectorySvd:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distinct_singular_values_agree_per_component(self, seed):
+        x = rng_stream(seed, "ssa-vs-svd").normal(size=300)
+        model = ssa_decompose(Signal(samples=x, fs=256.0), window_len=40)
+        s, ref = trajectory_svd_components(x, 40)
+        assert np.min(-np.diff(s)) > 1e-6 * s[0]  # no degenerate pair
+        assert model.n_components == len(ref)
+        assert np.allclose(model.singular_values, s, rtol=0, atol=1e-9 * s[0])
+        for i, comp in enumerate(ref):
+            assert np.max(np.abs(model.component(i).samples - comp)) < 1e-9
+
+    def test_two_tone_group_agrees(self):
+        # two tones have SSA rank 4; each sine pair is nearly degenerate, so
+        # single components may rotate within it but the group sum may not
+        t = np.arange(2048) / 256.0
+        x = np.sin(2 * np.pi * 6.0 * t + 0.4) + 0.6 * np.sin(2 * np.pi * 11.0 * t)
+        model = ssa_decompose(Signal(samples=x, fs=256.0))
+        _, ref = trajectory_svd_components(x, model.window_len)
+        assert model.n_components == 4
+        back = ssa_reconstruct(model, range(4))
+        assert np.max(np.abs(back.samples - sum(ref[:4]))) < 1e-9
+
+    def test_small_fluctuation_on_large_offset_kept(self):
+        # the fluctuation's eigenvalues sit under the rounding noise of the
+        # lag covariance; measured on the signal they still count
+        x = 1000.0 + 1e-4 * rng_stream(3, "ssa-offset").normal(size=1024)
+        model = ssa_decompose(Signal(samples=x, fs=256.0), window_len=64)
+        assert model.n_components == 64
+        back = ssa_reconstruct(model, range(model.n_components))
+        assert np.max(np.abs(back.samples - x)) < 1e-8 * 1000.0
+
+    def test_all_zero_signal_has_no_components(self):
+        model = ssa_decompose(Signal(samples=np.zeros(64), fs=256.0))
+        assert model.n_components == 0
+        assert np.array_equal(ssa_reconstruct(model, []).samples, np.zeros(64))
+
+
+_PEAK_RSS_SCRIPT = """
+import resource
+import numpy as np
+from eegscrub import Signal
+from eegscrub.decompose import ssa_decompose, ssa_reconstruct
+
+def peak_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+def top_four(samples):
+    model = ssa_decompose(Signal(samples=samples, fs=256.0))
+    return [ssa_reconstruct(model, [i]) for i in range(4)]
+
+top_four(np.arange(2048.0) % 7)  # BLAS buffers are allocated on first use
+x = np.sin(np.arange(153_600) * 0.1) + np.arange(153_600) % 5
+before = peak_mib()
+top_four(x)
+print(peak_mib() - before)
+"""
+
+
+def test_ten_minute_decomposition_stays_small():
+    # ru_maxrss counts the BLAS operand copies that tracemalloc cannot see,
+    # so the measurement runs in a fresh process
+    src = os.path.dirname(os.path.dirname(eegscrub.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert float(done.stdout) < 64.0
