@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 usage error, 2 data/runtime error. Every run writes
 a JSON report embedding the fully resolved configuration, so a run can be
 reproduced from its report alone. The seed comes from --seed, falling back to
 the EEGSCRUB_SEED environment variable, then 0. No output path, the report
-included, may be an input path or another output path of the same run.
+included, may name an input file or another output file of the same run,
+directly, through a symlink or as a hard link.
 """
 
 import argparse
@@ -207,10 +208,7 @@ def _cmd_denoise(args, seed: int) -> tuple:
         "template_width": args.template_width, "frontal": args.frontal,
     }
     config.update({p.name: getattr(args, p.name) for p in _METHOD_PARAMS})
-    return config, {
-        "rejected_rows": rec.subject_meta.get("rejected_rows", 0),
-        "reports": [asdict(r) for r in reps],
-    }
+    return config, {"reports": [asdict(r) for r in reps]}
 
 
 def _cmd_bench(args, seed: int) -> tuple:
@@ -243,8 +241,7 @@ def _cmd_extract(args, seed: int) -> tuple:
     config = {"in": str(args.input), "out": str(args.out), "fs": args.fs,
               "window_s": args.window_s, "overlap": args.overlap,
               "label": label}
-    return config, {"n_rows": matrix.n_rows, "n_features": matrix.n_features,
-                    "rejected_rows": rec.subject_meta.get("rejected_rows", 0)}
+    return config, {"n_rows": matrix.n_rows, "n_features": matrix.n_features}
 
 
 def _cmd_train(args, seed: int) -> tuple:
@@ -332,18 +329,27 @@ _COMMANDS = {
 }
 
 
+def _file_identity(path: str):
+    """(device, inode) of an existing file, else its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_paths(args, command: _Command, report_path: str) -> None:
     """Refuse an output path, the report included, that is an input path or
     another output path."""
-    # realpath, so a symlink to an input is caught too
-    kinds = {os.path.realpath(getattr(args, f)): "input" for f in command.reads}
+    # by inode, so a hard link or a symlink to an input is caught too
+    kinds = {_file_identity(getattr(args, f)): "input" for f in command.reads}
     outputs = [getattr(args, f) for f in command.writes] + [report_path]
     for out in filter(None, outputs):  # an optional output may be unset
-        path = os.path.realpath(out)
-        if path in kinds:
-            raise UsageError(f"refusing to overwrite {kinds[path]} file "
+        key = _file_identity(out)
+        if key in kinds:
+            raise UsageError(f"refusing to overwrite {kinds[key]} file "
                              f"{out!r}; choose a different output path")
-        kinds[path] = "output"
+        kinds[key] = "output"
 
 
 def main(argv=None) -> int:

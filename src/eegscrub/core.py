@@ -8,6 +8,7 @@ are safe to share across threads.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from .errors import InvalidSpecError, TooShortError
@@ -171,23 +172,27 @@ def apply_filter(signal: Signal, spec: FilterSpec) -> Signal:
     return signal.with_samples(y)
 
 
-def segment_epochs(signal: Signal, window_s: float, overlap: float = 0.0) -> list:
-    """Split into fixed windows; trailing partial window is discarded.
-
-    The hop is ``window * (1 - overlap)`` samples. A window longer than the
-    signal yields an empty list.
-    """
+def epoch_view(x: np.ndarray, fs: float, window_s: float,
+               overlap: float = 0.0) -> np.ndarray:
+    """Windows of ``floor(window_s * fs)`` samples, one every ``window *
+    (1 - overlap)``, along the last axis of ``x``: a read-only view shaped
+    ``x.shape[:-1] + (n_epochs, window)``. A trailing partial window is
+    dropped; a window longer than ``x`` gives zero epochs."""
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    win = int(np.floor(window_s * signal.fs))
+    win = int(np.floor(window_s * fs))
     if win < 2:
         raise ValueError(f"window of {win} samples is too short (need >= 2)")
     hop = max(1, int(round(win * (1.0 - overlap))))
-    x = signal.samples
-    return [
-        signal.with_samples(x[start : start + win])
-        for start in range(0, len(x) - win + 1, hop)
-    ]
+    if win > x.shape[-1]:
+        return np.empty(x.shape[:-1] + (0, win))
+    return sliding_window_view(x, win, axis=-1)[..., ::hop, :]
+
+
+def segment_epochs(signal: Signal, window_s: float, overlap: float = 0.0) -> list:
+    """The epochs of :func:`epoch_view`, one Signal each."""
+    return [signal.with_samples(row) for row in
+            epoch_view(signal.samples, signal.fs, window_s, overlap)]
 
 
 @dataclass(frozen=True)

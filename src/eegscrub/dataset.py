@@ -1,9 +1,8 @@
 """CSV ingestion for feature tables and raw recordings, plus report files.
 
 Every CSV goes through one reader and one writer. Loaders are strict: every
-failure, a non-finite feature value included, names the file, row, and
-column, so a bad cell in a half-million-row dataset is findable; raw rows
-with a non-finite sample are dropped and counted. Writers emit shortest
+failure, a non-finite number included, names the file, row, and column, so a
+bad cell in a half-million-row dataset is findable. Writers emit shortest
 round-trip floats. Reports are JSON with a format-version field; non-finite
 floats are stored as sentinel tokens because strict JSON has none.
 """
@@ -67,29 +66,33 @@ def parse_label(text: str) -> int:
 
 
 def _parse_block(path, block, row_nums, names) -> np.ndarray:
-    """``block`` as float64 by the rules of float(); a block that fails is
-    rescanned to name its first bad cell (``row_nums`` ends with its rows)."""
+    """``block`` as float64 by the rules of float(); a block that fails or
+    holds a non-finite value is rescanned to name its first bad cell
+    (``row_nums`` ends with its rows)."""
     try:
-        return np.array(block, dtype=float).reshape(len(block), len(names))
+        values = np.array(block, dtype=float).reshape(len(block), len(names))
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        for row_num, row in zip(row_nums[len(row_nums) - len(block):], block):
-            for name, cell in zip(names, row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {row_num}: column {name!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    )
-        raise
+        pass
+    for row_num, row in zip(row_nums[len(row_nums) - len(block):], block):
+        for name, cell in zip(names, row):
+            try:
+                what = "" if math.isfinite(float(cell)) else "a finite number"
+            except ValueError:
+                what = "a number"
+            if what:
+                raise DataFormatError(f"{path}: row {row_num}: column {name!r}: "
+                                      f"cannot parse {cell!r} as {what}")
+    raise AssertionError("numpy rejected a block that float() accepts")
 
 
 def _read_csv(path, text_column) -> tuple:
     """The one CSV reader. ``text_column(header)`` checks the stripped header
     and returns the index of a column kept as text, or None; a repeated
-    column name is an error. Blank rows are skipped. Returns the names of the
-    other columns, the row number of each data row, their cells as a float64
-    array, and the text cells."""
+    column name, a non-finite number and no data rows are errors. Blank rows
+    are skipped. Returns the names of the other columns, the row number of
+    each data row, their cells as a float64 array, and the text cells."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -120,6 +123,8 @@ def _read_csv(path, text_column) -> tuple:
                 parsed.append(_parse_block(path, block, row_nums, names))
                 block = []
         parsed.append(_parse_block(path, block, row_nums, names))
+    if not row_nums:
+        raise DataFormatError(f"{path}: no data rows")
     return names, row_nums, np.concatenate(parsed), texts
 
 
@@ -145,21 +150,12 @@ def load_feature_csv(path,
         return header.index(_LABEL) if _LABEL in header else None
 
     names, row_nums, rows, texts = _read_csv(path, label_index)
-    if not row_nums:
-        raise DataFormatError(f"{path}: no data rows")
     labels = []
     for row_num, cell in zip(row_nums, texts if require_label else ()):
         try:
             labels.append(parse_label(cell))
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {row_num}: {exc}")
-    bad = np.argwhere(~np.isfinite(rows))
-    if len(bad):
-        r, c = bad[0]
-        raise DataFormatError(
-            f"{path}: row {row_nums[r]}: column {names[c]!r}: "
-            f"feature values must be finite, got {float(rows[r, c])!r}"
-        )
     matrix = FeatureMatrix(rows=rows, feature_names=tuple(names),
                            labels=labels or None)
     if not labels:
@@ -182,8 +178,8 @@ def save_feature_csv(matrix: FeatureMatrix, path,
 def load_raw_csv(path, fs: float = 256.0) -> Recording:
     """Multichannel samples; a leading timestamp-named column is dropped.
 
-    Rows containing non-finite values are rejected; the count lands in
-    ``subject_meta['rejected_rows']``.
+    A non-finite sample is an error, as dropping its row would splice the
+    time axis.
     """
 
     def timestamp_index(header):
@@ -195,14 +191,10 @@ def load_raw_csv(path, fs: float = 256.0) -> Recording:
         return stamp
 
     names, _, values, _ = _read_csv(path, timestamp_index)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.any():
-        raise DataFormatError(f"{path}: no usable data rows")
     return Recording(
-        channels=tuple(Signal(samples=col, fs=fs) for col in values[finite].T),
+        channels=tuple(Signal(samples=col, fs=fs) for col in values.T),
         channel_names=tuple(names),
-        subject_meta={"source": str(path), "fs": fs,
-                      "rejected_rows": int((~finite).sum())},
+        subject_meta={"source": str(path), "fs": fs},
     )
 
 

@@ -3,6 +3,11 @@
 Each epoch of each channel contributes 12 features (5 band powers, spectral
 entropy, 6 time-domain moments), concatenated per channel into one flat row,
 matching the flat feature-vector shape of pre-extracted public datasets.
+
+Each feature is computed along the last axis of an array, so
+``build_feature_matrix`` runs the code behind ``welch_psd``, ``band_powers``,
+``spectral_entropy`` and ``time_stats`` once on the whole (channels, epochs,
+window) block cut by ``core.epoch_view``.
 """
 
 import math
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .core import Recording, Signal, segment_epochs
+from .core import Recording, Signal, epoch_view
 from .errors import DegenerateInputError
 
 BANDS = (
@@ -22,7 +27,8 @@ BANDS = (
     ("gamma", 30.0, 45.0),
 )
 STAT_NAMES = ("mean", "variance", "min", "max", "skewness", "kurtosis")
-FEATURES_PER_CHANNEL = len(BANDS) + 1 + len(STAT_NAMES)
+FEATURE_NAMES = tuple(b[0] for b in BANDS) + ("entropy",) + STAT_NAMES
+FEATURES_PER_CHANNEL = len(FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -65,90 +71,82 @@ class FeatureMatrix:
         return self.rows.shape[1]
 
 
-def welch_psd(signal: Signal, seg_len: int = 256, overlap: float = 0.5):
-    """Averaged Hann-windowed periodograms; returns (freqs, psd)."""
+def _welch(x: np.ndarray, fs: float, seg_len: int, overlap: float):
+    """Welch PSD along the last axis of ``x``; returns (freqs, psd)."""
     seg_len = int(seg_len)
     if seg_len < 8:
         raise ValueError(f"seg_len must be >= 8, got {seg_len}")
-    if seg_len > len(signal):
+    if seg_len > x.shape[-1]:
         raise ValueError(
-            f"seg_len {seg_len} exceeds signal length {len(signal)}"
+            f"seg_len {seg_len} exceeds signal length {x.shape[-1]}"
         )
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    freqs, psd = sps.welch(
-        signal.samples,
-        fs=signal.fs,
-        window="hann",
-        nperseg=seg_len,
-        noverlap=int(seg_len * overlap),
-        detrend=False,
-    )
-    return freqs, psd
+    return sps.welch(x, fs=fs, window="hann", nperseg=seg_len,
+                     noverlap=int(seg_len * overlap), detrend=False, axis=-1)
+
+
+def welch_psd(signal: Signal, seg_len: int = 256, overlap: float = 0.5):
+    """Averaged Hann-windowed periodograms; returns (freqs, psd)."""
+    return _welch(signal.samples, signal.fs, seg_len, overlap)
 
 
 def band_powers(freqs: np.ndarray, psd: np.ndarray) -> tuple:
-    """Trapezoid-integrated power in the five conventional EEG bands."""
+    """Trapezoid-integrated power in the five conventional EEG bands, one
+    entry per band of the shape of ``psd`` less its last (frequency) axis.
+    A band holding fewer than two bins has power 0."""
     freqs = np.asarray(freqs, dtype=float)
     psd = np.asarray(psd, dtype=float)
-    if freqs.shape != psd.shape or freqs.ndim != 1:
-        raise ValueError("freqs and psd must be 1-D and the same shape")
-    powers = []
-    for _, lo, hi in BANDS:
-        mask = (freqs >= lo) & (freqs <= hi)
-        if mask.sum() < 2:
-            powers.append(0.0)
-        else:
-            powers.append(float(np.trapezoid(psd[mask], freqs[mask])))
-    return tuple(powers)
+    if freqs.ndim != 1 or psd.shape[-1:] != freqs.shape:
+        raise ValueError("freqs must be 1-D and match psd's last axis")
+    masks = [(freqs >= lo) & (freqs <= hi) for _, lo, hi in BANDS]
+    return tuple(np.trapezoid(psd[..., m], freqs[m], axis=-1) for m in masks)
 
 
-def spectral_entropy(psd: np.ndarray) -> float:
-    """Shannon entropy of the normalized PSD, scaled to [0, 1] by ln(n)."""
+def _entropy(psd: np.ndarray) -> np.ndarray:
+    """Normalized entropy along the last axis; 0 for an all-zero row."""
+    total = psd.sum(axis=-1, keepdims=True)
+    p = psd / np.where(total > 0.0, total, 1.0)
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    return -(p * log_p).sum(axis=-1) / math.log(psd.shape[-1])
+
+
+def spectral_entropy(psd: np.ndarray):
+    """Shannon entropy of the normalized PSD along the last axis, scaled to
+    [0, 1] by ln(n)."""
     psd = np.asarray(psd, dtype=float)
-    total = psd.sum()
-    if total <= 0.0:
+    if np.any(psd.sum(axis=-1) <= 0.0):
         raise DegenerateInputError("spectral entropy needs a nonzero PSD")
-    p = psd / total
-    nonzero = p[p > 0]
-    entropy = float(-(nonzero * np.log(nonzero)).sum())
-    return entropy / math.log(len(psd))
+    return _entropy(psd)
 
 
-def time_stats(signal: Signal) -> dict:
-    """Population moments; skew/kurtosis forced to 0 on constant input."""
-    x = signal.samples
-    if len(x) < 2:
-        raise ValueError("need at least 2 samples")
-    mean = float(x.mean())
-    var = float(x.var())
+def _moments(x: np.ndarray) -> dict:
+    """STAT_NAMES and ``degenerate`` (zero variance) along the last axis;
+    skewness and kurtosis are 0 where degenerate."""
+    mean = x.mean(axis=-1)
+    var = x.var(axis=-1)
     degenerate = var == 0.0
-    if degenerate:
-        skew = kurt = 0.0
-    else:
-        centered = x - mean
-        std = math.sqrt(var)
-        skew = float(np.mean(centered**3) / std**3)
-        kurt = float(np.mean(centered**4) / var**2 - 3.0)
+    safe_var = np.where(degenerate, 1.0, var)
+    centered = x - mean[..., None]
+    skew = np.mean(centered**3, axis=-1) / np.sqrt(safe_var)**3
+    kurt = np.mean(centered**4, axis=-1) / safe_var**2 - 3.0
     return {
         "mean": mean,
         "variance": var,
-        "min": float(x.min()),
-        "max": float(x.max()),
-        "skewness": skew,
-        "kurtosis": kurt,
+        "min": x.min(axis=-1),
+        "max": x.max(axis=-1),
+        "skewness": np.where(degenerate, 0.0, skew),
+        "kurtosis": np.where(degenerate, 0.0, kurt),
         "degenerate": degenerate,
     }
 
 
-def _epoch_features(epoch: Signal) -> list:
-    seg_len = min(256, len(epoch))
-    freqs, psd = welch_psd(epoch, seg_len=seg_len)
-    feats = list(band_powers(freqs, psd))
-    feats.append(0.0 if psd.sum() <= 0 else spectral_entropy(psd))
-    stats = time_stats(epoch)
-    feats.extend(stats[name] for name in STAT_NAMES)
-    return feats
+def time_stats(signal: Signal) -> dict:
+    """Population moments as Python scalars; skew/kurtosis forced to 0 on
+    constant input, which is flagged ``degenerate``."""
+    if len(signal) < 2:
+        raise ValueError("need at least 2 samples")
+    return {k: v.item() for k, v in _moments(signal.samples).items()}
 
 
 def build_feature_matrix(
@@ -158,19 +156,17 @@ def build_feature_matrix(
     label: int | None = None,
 ) -> FeatureMatrix:
     """One row per epoch; columns are <channel>_<feature> per channel."""
-    names = tuple(
-        f"{ch}_{feat}"
-        for ch in rec.channel_names
-        for feat in [b[0] for b in BANDS] + ["entropy"] + list(STAT_NAMES)
-    )
-    per_channel = [segment_epochs(ch, window_s, overlap) for ch in rec.channels]
-    n_epochs = min(len(e) for e in per_channel)
-    rows = []
-    for e in range(n_epochs):
-        row = []
-        for epochs in per_channel:
-            row.extend(_epoch_features(epochs[e]))
-        rows.append(row)
-    matrix = np.asarray(rows, dtype=float) if rows else np.empty((0, len(names)))
+    names = tuple(f"{ch}_{feat}" for ch in rec.channel_names
+                  for feat in FEATURE_NAMES)
+    epochs = np.stack([epoch_view(ch.samples, rec.fs, window_s, overlap)
+                       for ch in rec.channels])
+    _, n_epochs, win = epochs.shape
     labels = None if label is None else (int(label),) * n_epochs
-    return FeatureMatrix(rows=matrix, feature_names=names, labels=labels)
+    if n_epochs == 0:
+        return FeatureMatrix(np.empty((0, len(names))), names, labels)
+    freqs, psd = _welch(epochs, rec.fs, seg_len=min(256, win), overlap=0.5)
+    stats = _moments(epochs)
+    feats = np.stack([*band_powers(freqs, psd), _entropy(psd),
+                      *(stats[name] for name in STAT_NAMES)], axis=-1)
+    rows = feats.transpose(1, 0, 2).reshape(n_epochs, len(names))
+    return FeatureMatrix(rows=rows, feature_names=names, labels=labels)

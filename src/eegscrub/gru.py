@@ -69,7 +69,7 @@ class TrainConfig:
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         for name in ("beta1", "beta2", "eps", "grad_clip"):
-            if getattr(self, name) <= 0 and name not in ("grad_clip",):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.val_fraction <= 0.5:
             raise ValueError(

@@ -106,6 +106,25 @@ class TestExitCodes:
         assert "refusing" in capsys.readouterr().err
         assert raw_csv.read_bytes() == before
 
+    def test_hard_link_to_input_refused(self, raw_csv, tmp_path, capsys):
+        link = tmp_path / "hard.csv"
+        link.hardlink_to(raw_csv)
+        before = raw_csv.read_bytes()
+        assert run("denoise", "--in", str(raw_csv), "--method", "dwt",
+                   "--out", str(link)) == 1
+        assert "refusing" in capsys.readouterr().err
+        assert raw_csv.read_bytes() == before
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"), ("--grad-clip", "0"), ("--grad-clip", "-5"),
+    ])
+    def test_bad_train_config_data_error(self, tmp_path, labeled_csv, flag,
+                                         value):
+        model = tmp_path / "m.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), flag, value) == 2
+        assert not model.exists()
+
     def test_command_table_names_every_subcommand(self):
         parser = build_parser()
         (sub,) = [a for a in parser._actions if a.dest == "command"]

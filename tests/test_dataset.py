@@ -151,24 +151,29 @@ class TestRawCsv:
         assert rec.n_channels == 2
         assert np.array_equal(rec.channels[0].samples, [1.0, 3.0])
 
-    def test_non_finite_row_rejected_with_count(self, tmp_path):
+    @pytest.mark.parametrize("cell", ["NaN", "inf", "-Infinity"])
+    def test_non_finite_sample_names_file_row_and_column(self, tmp_path,
+                                                         cell):
         path = tmp_path / "raw.csv"
-        path.write_text("a,b\n1.0,2.0\n1.0,NaN\n3.0,4.0\n",
+        path.write_text(f"a,b\n1.0,2.0\n1.0,{cell}\n3.0,inf\n",
                         encoding="utf-8")
-        rec = load_raw_csv(path)
-        assert rec.n_samples == 2
-        assert rec.subject_meta["rejected_rows"] == 1
+        with pytest.raises(DataFormatError) as err:
+            load_raw_csv(path)
+        msg = str(err.value)
+        assert str(path) in msg and "row 3: column 'b'" in msg
 
-    def test_non_finite_rows_counted_across_blocks(self, tmp_path):
+    def test_first_bad_row_named_past_a_block_boundary(self, tmp_path):
+        # the first fault is reported, whichever kind it is
         n = 2 * _BLOCK_ROWS + 5
-        bad = {3, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 4}
-        lines = [f"{i}.0,{'inf' if i in bad else i}" for i in range(n)]
+        lines = [f"{i}.0,{i}.0" for i in range(n)]
+        lines[_BLOCK_ROWS + 3] = "1.0,inf"
+        lines[_BLOCK_ROWS + 4] = "oops,2.0"
+        lines[2 * _BLOCK_ROWS + 1] = "nan,2.0"
         path = tmp_path / "raw.csv"
         path.write_text("a,b\n" + "\n".join(lines) + "\n", encoding="utf-8")
-        rec = load_raw_csv(path)
-        assert rec.subject_meta["rejected_rows"] == len(bad)
-        kept = [float(i) for i in range(n) if i not in bad]
-        assert np.array_equal(rec.channels[0].samples, kept)
+        with pytest.raises(DataFormatError,
+                           match=f"row {_BLOCK_ROWS + 5}: column 'b'"):
+            load_raw_csv(path)
 
     def test_iso_date_timestamp_dropped_unparsed(self, tmp_path):
         path = tmp_path / "raw.csv"
