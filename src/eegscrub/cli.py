@@ -10,6 +10,7 @@ directly, through a symlink or as a hard link.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -215,6 +216,8 @@ def _cmd_bench(args, seed: int) -> tuple:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     noises = [s.strip() for s in args.noises.split(";") if s.strip()]
     snrs = [float(s) for s in args.snrs.split(",") if s.strip()]
+    if not all(map(math.isfinite, snrs)):
+        raise UsageError(f"--snrs must be finite numbers, got {args.snrs!r}")
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
     seeds = [seed + i for i in range(args.seeds)]
@@ -358,6 +361,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
+        for k, v in vars(args).items():  # every float flag
+            if isinstance(v, float) and not math.isfinite(v):
+                raise UsageError(f"--{k.replace('_', '-')} must be finite, not {v}")
         seed = _resolve_seed(args.seed)
         command = _COMMANDS[args.command]
         report_path = args.report or command.report.format(**vars(args))

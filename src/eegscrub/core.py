@@ -173,16 +173,17 @@ def apply_filter(signal: Signal, spec: FilterSpec) -> Signal:
 
 
 def epoch_view(x: np.ndarray, fs: float, window_s: float,
-               overlap: float = 0.0) -> np.ndarray:
-    """Windows of ``floor(window_s * fs)`` samples, one every ``window *
-    (1 - overlap)``, along the last axis of ``x``: a read-only view shaped
-    ``x.shape[:-1] + (n_epochs, window)``. A trailing partial window is
+               overlap: float = 0.0, min_len: int = 2) -> np.ndarray:
+    """Windows of ``floor(window_s * fs) >= min_len`` samples, one every
+    ``window * (1 - overlap)``, along the last axis of ``x``: a read-only view
+    shaped ``x.shape[:-1] + (n_epochs, window)``. A trailing partial window is
     dropped; a window longer than ``x`` gives zero epochs."""
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
     win = int(np.floor(window_s * fs))
-    if win < 2:
-        raise ValueError(f"window of {win} samples is too short (need >= 2)")
+    if win < min_len:
+        raise ValueError(f"window of {win} samples ({window_s} s at {fs} Hz) "
+                         f"is too short (need >= {min_len})")
     hop = max(1, int(round(win * (1.0 - overlap))))
     if win > x.shape[-1]:
         return np.empty(x.shape[:-1] + (0, win))

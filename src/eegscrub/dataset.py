@@ -2,11 +2,13 @@
 
 Every CSV goes through one reader and one writer. Loaders are strict: every
 failure, a non-finite number included, names the file, row, and column, so a
-bad cell in a half-million-row dataset is findable. Writers emit shortest
-round-trip floats. Reports are JSON with a format-version field; non-finite
-floats are stored as sentinel tokens because strict JSON has none.
+bad cell in a half-million-row dataset is findable; plain files are parsed by
+``np.loadtxt``. Writers emit csv.writer's bytes with shortest round-trip
+floats. Reports are JSON with a format-version field; non-finite floats are
+stored as sentinel tokens because strict JSON has none.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -87,12 +89,49 @@ def _parse_block(path, block, row_nums, names) -> np.ndarray:
     raise AssertionError("numpy rejected a block that float() accepts")
 
 
+def _read_plain(path, text_column) -> tuple:
+    """:func:`_read_csv` of a plain file (no ``"``, every non-blank line as
+    wide as the header) of finite numbers, else ValueError."""
+    with open(path, encoding="utf-8") as fh:  # \r and \r\n read as \n
+        line = fh.readline().rstrip("\n")
+        header = [h.strip() for h in line.split(",")]
+        text_idx = text_column(header)
+        if not line or '"' in line or len(set(header)) < len(header):
+            raise ValueError("not a plain header")
+        k = None if text_idx is None else len(header) - text_idx  # from end
+        row_nums, texts = [], []
+
+        def plain_lines():
+            for row_num, line in enumerate(fh, start=2):
+                if line == "\n":
+                    continue
+                if ('"' in line or line.count(",") != len(header) - 1
+                        or len(line) > csv.field_size_limit()):
+                    raise ValueError(f"row {row_num} is not plain")
+                row_nums.append(row_num)
+                if k:
+                    texts.append(line.rstrip("\n").rsplit(",", k)[-k])
+                yield line
+            if not row_nums:  # before loadtxt warns of no data
+                raise ValueError("no data rows")
+
+        numbers = [i for i in range(len(header)) if i != text_idx]
+        values = np.loadtxt(plain_lines(), delimiter=",", comments=None,
+                            dtype=float, ndmin=2, usecols=numbers)
+    if not np.isfinite(values).all():
+        raise ValueError("a non-finite number")
+    return [header[i] for i in numbers], row_nums, values, texts
+
+
 def _read_csv(path, text_column) -> tuple:
     """The one CSV reader. ``text_column(header)`` checks the stripped header
     and returns the index of a column kept as text, or None; a repeated
     column name, a non-finite number and no data rows are errors. Blank rows
     are skipped. Returns the names of the other columns, the row number of
-    each data row, their cells as a float64 array, and the text cells."""
+    each data row, their cells as a float64 array, and the text cells. Files
+    :func:`_read_plain` refuses are read by csv.reader, naming any fault."""
+    with contextlib.suppress(ValueError):  # not plain, or a fault: see below
+        return _read_plain(path, text_column)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -128,13 +167,19 @@ def _read_csv(path, text_column) -> tuple:
     return names, row_nums, np.concatenate(parsed), texts
 
 
-def write_csv(path, header, rows) -> None:
-    """The one CSV writer. Floats are written with repr(), the shortest form
-    that reads back to the same value; lines end in CRLF."""
+def write_csv(path, header, rows, texts=None) -> None:
+    """The one CSV writer, with csv.writer's bytes: shortest round-trip floats
+    and CRLF. ``rows`` are rows of cells, or a float matrix formatted in C,
+    each row then followed by its cell of ``texts`` when given."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if not isinstance(rows, np.ndarray):
+            return writer.writerows(rows)
+        lead = [""] * min(rows.shape[1], 1)  # for the "," before a text cell
+        for i, row in enumerate(rows):
+            fh.write(",".join(map(repr, row.tolist())))
+            writer.writerow([] if texts is None else lead + [texts[i]])
 
 
 def load_feature_csv(path,
@@ -168,11 +213,11 @@ def save_feature_csv(matrix: FeatureMatrix, path,
                      class_names=CLASS_NAMES) -> None:
     """Header of feature names plus a trailing label column when labeled."""
     header = list(matrix.feature_names)
-    rows = (row.tolist() for row in matrix.rows)
+    texts = None
     if matrix.labels is not None:
         header.append(_LABEL)
-        rows = (r + [class_names[y]] for r, y in zip(rows, matrix.labels))
-    write_csv(path, header, rows)
+        texts = [class_names[y] for y in matrix.labels]
+    write_csv(path, header, matrix.rows, texts)
 
 
 def load_raw_csv(path, fs: float = 256.0) -> Recording:
@@ -199,7 +244,7 @@ def load_raw_csv(path, fs: float = 256.0) -> Recording:
 
 
 def save_raw_csv(rec: Recording, path) -> None:
-    write_csv(path, rec.channel_names, (r.tolist() for r in rec.to_array()))
+    write_csv(path, rec.channel_names, rec.to_array())
 
 
 def _encode(value):

@@ -29,6 +29,7 @@ BANDS = (
 STAT_NAMES = ("mean", "variance", "min", "max", "skewness", "kurtosis")
 FEATURE_NAMES = tuple(b[0] for b in BANDS) + ("entropy",) + STAT_NAMES
 FEATURES_PER_CHANNEL = len(FEATURE_NAMES)
+_MIN_SEG_LEN = 8  # shortest Welch segment, so the shortest feature window
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class FeatureMatrix:
 def _welch(x: np.ndarray, fs: float, seg_len: int, overlap: float):
     """Welch PSD along the last axis of ``x``; returns (freqs, psd)."""
     seg_len = int(seg_len)
-    if seg_len < 8:
-        raise ValueError(f"seg_len must be >= 8, got {seg_len}")
+    if seg_len < _MIN_SEG_LEN:
+        raise ValueError(f"seg_len must be >= {_MIN_SEG_LEN}, got {seg_len}")
     if seg_len > x.shape[-1]:
         raise ValueError(
             f"seg_len {seg_len} exceeds signal length {x.shape[-1]}"
@@ -158,7 +159,8 @@ def build_feature_matrix(
     """One row per epoch; columns are <channel>_<feature> per channel."""
     names = tuple(f"{ch}_{feat}" for ch in rec.channel_names
                   for feat in FEATURE_NAMES)
-    epochs = np.stack([epoch_view(ch.samples, rec.fs, window_s, overlap)
+    epochs = np.stack([epoch_view(ch.samples, rec.fs, window_s, overlap,
+                                  min_len=_MIN_SEG_LEN)
                        for ch in rec.channels])
     _, n_epochs, win = epochs.shape
     labels = None if label is None else (int(label),) * n_epochs

@@ -153,6 +153,30 @@ class TestExitCodes:
         assert run("eval", "--features", str(labeled_csv),
                    "--model", str(bad)) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command, flag", [
+        ("extract-features", "--window-s"), ("simulate", "--duration"),
+    ])
+    def test_non_finite_float_flag_usage_error(self, tmp_path, raw_csv,
+                                               capsys, command, flag, value):
+        out = tmp_path / "out.csv"
+        inputs = ["--in", str(raw_csv)] if command == "extract-features" else []
+        assert run(command, *inputs, "--out", str(out),
+                   f"{flag}={value}") == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite, not {value}" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_window_under_welch_minimum_named(self, tmp_path, raw_csv,
+                                              capsys):
+        out = tmp_path / "f.csv"
+        assert run("extract-features", "--in", str(raw_csv), "--out",
+                   str(out), "--window-s", "0.02") == 2
+        err = capsys.readouterr().err
+        assert ("window of 5 samples (0.02 s at 256.0 Hz) is too short "
+                "(need >= 8)") in err
+        assert "seg_len" not in err and not out.exists()
+
 
     def test_predict_ignores_labels(self, tmp_path, labeled_csv):
         model = tmp_path / "m.bin"

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from eegscrub import (
     save_raw_csv,
     write_report,
 )
-from eegscrub.dataset import _BLOCK_ROWS
+from eegscrub.dataset import _BLOCK_ROWS, write_csv
 from eegscrub.errors import DataFormatError
 
 
@@ -222,6 +225,53 @@ class TestRawCsv:
         assert back.channel_names == rec.channel_names
         for a, b in zip(back.channels, rec.channels):
             assert np.array_equal(a.samples, b.samples)
+
+
+def rng_values(shape):
+    """Floats over many decades and both signs, with negative zeros."""
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+    values[..., ::4] = -0.0
+    return values
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+class TestWriteCsv:
+    ODD = ["a,b", 'say "hi"', "two\nlines", "cr\rend", "", " pad "]
+
+    @pytest.mark.parametrize("n_cols", [0, 1, 3])
+    def test_matrix_bytes_equal_csv_writer(self, tmp_path, n_cols):
+        values = rng_values((5, n_cols))
+        header = [f"h{i}" for i in range(n_cols)] + ["a,b"]
+        texts = (self.ODD * 2)[:5]
+        path = tmp_path / "w.csv"
+        write_csv(path, header, values, texts)
+        expected = csv_writer_bytes(
+            header, (r + [t] for r, t in zip(values.tolist(), texts)))
+        assert path.read_bytes() == expected
+        write_csv(path, header[:-1], values)
+        assert path.read_bytes() == csv_writer_bytes(header[:-1],
+                                                     values.tolist())
+
+    def test_odd_header_and_class_names_quoted_as_csv_writer(self, tmp_path):
+        names = tuple(self.ODD[:3])
+        matrix = FeatureMatrix(rows=rng_values((4, 3)),
+                               feature_names=tuple(self.ODD[3:]),
+                               labels=(0, 1, 2, 0))
+        path = tmp_path / "f.csv"
+        save_feature_csv(matrix, path, class_names=names)
+        expected = csv_writer_bytes(
+            list(matrix.feature_names) + ["label"],
+            (r + [names[y]] for r, y in zip(matrix.rows.tolist(),
+                                            matrix.labels)))
+        assert path.read_bytes() == expected
 
 
 class TestReports:

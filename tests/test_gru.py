@@ -17,6 +17,7 @@ from eegscrub.gru import (
     train,
     train_linear_baseline,
 )
+from eegscrub.gru import _sigmoid
 
 
 def tiny_model(seed=0, t=3, f=2, h=4, c=3):
@@ -52,6 +53,26 @@ def flatten_params(model):
                           "wh", "uh", "bh")]
     parts += [model.w_out.ravel(), model.b_out.ravel()]
     return np.concatenate(parts)
+
+
+def masked_sigmoid(x):
+    """The boolean-mask form of the stable logistic, kept as the reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("x", [
+    np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 708.0, -708.0, 750.0,
+              -750.0, np.inf, -np.inf, np.nan, -np.nan]),
+    rng_stream(0, "sigmoid-test").normal(0.0, 8.0, size=(2132, 64)),
+])
+def test_sigmoid_bit_identical_to_masked_form(x):
+    assert np.array_equal(_sigmoid(x).view(np.uint64),
+                          masked_sigmoid(x).view(np.uint64))
 
 
 class TestForward:
