@@ -7,6 +7,9 @@ to reproduce the dataset experiment.
 Run with: python3 demos/06_gru_classifier.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from eegscrub import (
@@ -83,9 +86,10 @@ def main():
     lin_acc = evaluate(linear, test)["accuracy"]
     print(f"\nlinear baseline test accuracy: {lin_acc:.4f}")
 
-    path = "/tmp/demo6_model.eegmodel"
-    save_model(model, path)
-    back = load_model(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "demo6_model.eegmodel")
+        save_model(model, path)
+        back = load_model(path)
     same = np.array_equal(back.w_out, model.w_out)
     print(f"serialization round-trip exact: {same}")
 

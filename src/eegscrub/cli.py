@@ -30,7 +30,7 @@ from .dataset import (
     write_report,
 )
 from .denoise import METHOD_IDS, METHODS, apply_method
-from .errors import EegScrubError
+from .errors import EegScrubError, TooShortError
 from .features import build_feature_matrix
 from .gru import (
     ModelConfig,
@@ -191,6 +191,9 @@ def _method_inputs(args, rec: Recording, seed: int) -> tuple:
     if needs == "template":
         frontal = (args.frontal.split(",") if args.frontal
                    else list(rec.channel_names[:2]))
+        if not set(frontal) <= set(rec.channel_names):
+            raise UsageError(f"--frontal must name channels of the recording "
+                             f"({', '.join(rec.channel_names)}), got {args.frontal!r}")
         spec = NoiseSpec("blink", {"width": args.template_width}, seed=seed)
         return make_blink_template(spec, rec.fs), frontal
     return ()
@@ -215,8 +218,11 @@ def _cmd_denoise(args, seed: int) -> tuple:
 def _cmd_bench(args, seed: int) -> tuple:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     noises = [s.strip() for s in args.noises.split(";") if s.strip()]
-    snrs = [float(s) for s in args.snrs.split(",") if s.strip()]
-    if not all(map(math.isfinite, snrs)):
+    try:
+        snrs = [float(s) for s in args.snrs.split(",") if s.strip()]
+        if not all(map(math.isfinite, snrs)):
+            raise ValueError
+    except ValueError:
         raise UsageError(f"--snrs must be finite numbers, got {args.snrs!r}")
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
@@ -240,6 +246,9 @@ def _cmd_extract(args, seed: int) -> tuple:
             raise UsageError(str(exc))
     matrix = build_feature_matrix(rec, args.window_s, args.overlap,
                                   label=label)
+    if matrix.n_rows == 0:  # a table train, eval and predict would refuse
+        raise TooShortError(f"{args.input}: a {rec.n_samples / rec.fs:g} s "
+                            f"recording holds no full {args.window_s:g} s window")
     save_feature_csv(matrix, args.out)
     config = {"in": str(args.input), "out": str(args.out), "fs": args.fs,
               "window_s": args.window_s, "overlap": args.overlap,

@@ -96,7 +96,8 @@ def _read_plain(path, text_column) -> tuple:
         line = fh.readline().rstrip("\n")
         header = [h.strip() for h in line.split(",")]
         text_idx = text_column(header)
-        if not line or '"' in line or len(set(header)) < len(header):
+        if (not line or '"' in line or len(set(header)) < len(header)
+                or len(line) > csv.field_size_limit()):
             raise ValueError("not a plain header")
         k = None if text_idx is None else len(header) - text_idx  # from end
         row_nums, texts = [], []
@@ -134,33 +135,36 @@ def _read_csv(path, text_column) -> tuple:
         return _read_plain(path, text_column)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        row_nums, texts, parsed, block, names = [], [], [], [], []
         try:
             header = [h.strip() for h in next(reader)]
-        except StopIteration:
+            text_idx = text_column(header)
+            repeated = [h for h, n in Counter(header).items() if n > 1]
+            if repeated:
+                raise DataFormatError(f"{path}: repeated column name {repeated[0]!r}")
+            names = [h for i, h in enumerate(header) if i != text_idx]
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    # a bad number in an earlier row is reported first
+                    _parse_block(path, block, row_nums, names)
+                    raise DataFormatError(
+                        f"{path}: row {row_num}: expected {len(header)} cells, "
+                        f"got {len(row)}"
+                    )
+                if text_idx is not None:
+                    texts.append(row.pop(text_idx))
+                row_nums.append(row_num)
+                block.append(row)
+                if len(block) == _BLOCK_ROWS:
+                    parsed.append(_parse_block(path, block, row_nums, names))
+                    block = []
+        except StopIteration:  # from next(reader): no header
             raise DataFormatError(f"{path}: empty file")
-        text_idx = text_column(header)
-        repeated = [h for h, n in Counter(header).items() if n > 1]
-        if repeated:
-            raise DataFormatError(f"{path}: repeated column name {repeated[0]!r}")
-        names = [h for i, h in enumerate(header) if i != text_idx]
-        row_nums, texts, parsed, block = [], [], [], []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                # a bad number in an earlier row is reported first
-                _parse_block(path, block, row_nums, names)
-                raise DataFormatError(
-                    f"{path}: row {row_num}: expected {len(header)} cells, "
-                    f"got {len(row)}"
-                )
-            if text_idx is not None:
-                texts.append(row.pop(text_idx))
-            row_nums.append(row_num)
-            block.append(row)
-            if len(block) == _BLOCK_ROWS:
-                parsed.append(_parse_block(path, block, row_nums, names))
-                block = []
+        except csv.Error as exc:  # a malformed row, after earlier rows' faults
+            _parse_block(path, block, row_nums, names)
+            raise DataFormatError(f"{path}: row {reader.line_num}: {exc}")
         parsed.append(_parse_block(path, block, row_nums, names))
     if not row_nums:
         raise DataFormatError(f"{path}: no data rows")

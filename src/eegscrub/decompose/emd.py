@@ -4,6 +4,10 @@ Sifting with natural cubic spline envelopes through the extrema, mirror
 extension of two extrema at each boundary, and the Cauchy SD stopping
 criterion. The residual is computed as input minus the sum of the IMFs, so
 the completeness identity holds to machine precision by construction.
+
+An extremum sits where consecutive nonzero slopes ``x[i + 1] - x[i]`` and
+``x[j + 1] - x[j]`` change sign, at ``(i + 1 + j) // 2``: the turning sample, or
+the middle of the plateau between them; a maximum when the left slope rises.
 """
 
 from dataclasses import dataclass
@@ -39,34 +43,11 @@ class ImfSet:
 def find_extrema(x: np.ndarray):
     """Indices of local maxima and minima; plateaus count once, at their middle."""
     d = np.diff(x)
-    maxima, minima = [], []
-    # sign of the last nonzero slope seen, scanning left to right
-    i = 0
-    n = len(d)
-    prev_sign = 0
-    while i < n:
-        if d[i] == 0.0:
-            j = i
-            while j < n and d[j] == 0.0:
-                j += 1
-            if j < n:
-                next_sign = 1 if d[j] > 0 else -1
-                mid = (i + j) // 2
-                if prev_sign > 0 and next_sign < 0:
-                    maxima.append(mid)
-                elif prev_sign < 0 and next_sign > 0:
-                    minima.append(mid)
-                prev_sign = next_sign  # consume the change across the plateau
-            i = j
-            continue
-        sign = 1 if d[i] > 0 else -1
-        if prev_sign > 0 and sign < 0:
-            maxima.append(i)
-        elif prev_sign < 0 and sign > 0:
-            minima.append(i)
-        prev_sign = sign
-        i += 1
-    return np.asarray(maxima, dtype=int), np.asarray(minima, dtype=int)
+    nz = np.flatnonzero(d)  # the nonzero slopes
+    up = d[nz] > 0
+    k = np.flatnonzero(up[:-1] != up[1:])  # nz[k] to nz[k + 1] turns
+    at = (nz[k] + 1 + nz[k + 1]) // 2
+    return at[up[k]], at[~up[k]]
 
 
 def _mirror(idx: np.ndarray, val: np.ndarray, n: int, n_mirror: int = 2):

@@ -17,6 +17,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Recording, Signal, moving_average, pearson
 from .decompose import cca, dwt_forward, dwt_inverse, emd, ssa_decompose
@@ -297,7 +298,7 @@ def cascade_lms(
 def _ncc(samples: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Zero-mean normalized cross-correlation at every window start."""
     m = len(template)
-    windows = np.lib.stride_tricks.sliding_window_view(samples, m)
+    windows = sliding_window_view(samples, m)
     w_centered = windows - windows.mean(axis=1, keepdims=True)
     t_centered = template - template.mean()
     num = w_centered @ t_centered
@@ -322,12 +323,9 @@ def remove_blink_template(
     candidates = []
     for ch in frontal:
         scores = _ncc(ch.samples, tpl)
-        for t in range(len(scores)):
-            if scores[t] <= peak_thresh:
-                continue
-            lo, hi = max(0, t - 1), min(len(scores), t + 2)
-            if scores[t] == scores[lo:hi].max():
-                candidates.append((scores[t], t))
+        local_max = sliding_window_view(np.pad(scores, 1, mode="edge"), 3).max(-1)
+        peaks = np.flatnonzero((scores > peak_thresh) & (scores == local_max))
+        candidates += zip(scores[peaks].tolist(), peaks.tolist())
     # greedy non-overlap suppression across channels, strongest first
     events = []
     for score, t in sorted(candidates, reverse=True):

@@ -479,33 +479,20 @@ def evaluate(model, dataset: FeatureMatrix, class_names=None) -> dict:
     predicted = probs.argmax(axis=1)
     c = probs.shape[1]
     counts = np.zeros((c, c), dtype=int)
-    for truth, pred in zip(y, predicted):
-        counts[truth, pred] += 1
-    names = tuple(class_names) if class_names else tuple(
-        str(i) for i in range(c)
-    )
-    precision, recall, f1 = [], [], []
-    flags = {"precision": [], "recall": [], "f1": []}
-    for i in range(c):
-        col = counts[:, i].sum()
-        row = counts[i, :].sum()
-        diag = counts[i, i]
-        p_flag, r_flag = col == 0, row == 0
-        p = 0.0 if p_flag else diag / col
-        r = 0.0 if r_flag else diag / row
-        f_flag = (p + r) == 0.0
-        f = 0.0 if f_flag else 2 * p * r / (p + r)
-        precision.append(float(p))
-        recall.append(float(r))
-        f1.append(float(f))
-        flags["precision"].append(bool(p_flag))
-        flags["recall"].append(bool(r_flag))
-        flags["f1"].append(bool(f_flag))
+    np.add.at(counts, (y, predicted), 1)
+    names = tuple(class_names or map(str, range(c)))
+    col, row, diag = counts.sum(axis=0), counts.sum(axis=1), counts.diagonal()
+    precision = np.divide(diag, col, out=np.zeros(c), where=col > 0)
+    recall = np.divide(diag, row, out=np.zeros(c), where=row > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(c), where=both > 0)
+    flags = {"precision": (col == 0).tolist(), "recall": (row == 0).tolist(),
+             "f1": (both == 0).tolist()}
     return {
         "accuracy": float(np.trace(counts) / counts.sum()),
-        "precision": tuple(precision),
-        "recall": tuple(recall),
-        "f1": tuple(f1),
+        "precision": tuple(precision.tolist()),
+        "recall": tuple(recall.tolist()),
+        "f1": tuple(f1.tolist()),
         "flags": flags,
         "confusion": ConfusionMatrix(counts=counts, class_names=names),
     }

@@ -142,15 +142,11 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
             sos = sps.butter(4, [low / nyq, high / nyq], btype="bandpass",
                              output="sos")
             raw = sps.sosfiltfilt(sos, raw)
-        envelope = np.zeros(n)
         burst = max(1, int(round(0.25 * fs)))  # 250 ms on-bursts
-        pos = 0
-        while pos < n:
-            if rng.uniform() < p["duty"]:
-                envelope[pos : pos + burst] = 1.0
-            pos += burst
+        on = rng.uniform(size=math.ceil(n / burst)) < p["duty"]
+        envelope = np.repeat(on, burst)[:n]
         if not envelope.any():
-            envelope[:burst] = 1.0  # duty rounding must not yield silence
+            envelope[:burst] = True  # duty rounding must not yield silence
         samples = raw * envelope
     elif spec.kind == "blink":
         bump = blink_bump(p["width"], fs)

@@ -177,6 +177,48 @@ class TestExitCodes:
                 "(need >= 8)") in err
         assert "seg_len" not in err and not out.exists()
 
+    @pytest.mark.parametrize("text, row", [
+        ("a," + "1" * 140_002 + "\n1.0,2.0\n", 1),
+        ("a,b\n1.0,2.0\n1.0," + "1" * 140_000 + "\n", 3),
+    ], ids=["header", "data_row"])
+    def test_cell_over_csv_field_limit_data_error(self, tmp_path, capsys,
+                                                  text, row):
+        path = tmp_path / "big.csv"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert run("denoise", "--in", str(path), "--method", "identity",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: row {row}: field larger than field limit" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_unknown_frontal_channel_usage_error(self, raw_csv, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out.csv"
+        assert run("denoise", "--in", str(raw_csv), "--method",
+                   "blink_template", "--frontal", "ch0,zz",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "--frontal" in err and "ch0, ch1, ch2, ch3" in err
+        assert "'ch0,zz'" in err and not out.exists()
+
+    def test_unparsable_snrs_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "lb.csv"
+        assert run("bench", "--snrs", "0,x", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "--snrs must be finite numbers, got '0,x'" in err
+        assert not out.exists()
+
+    def test_window_longer_than_recording_data_error(self, tmp_path, raw_csv,
+                                                     capsys):
+        out = tmp_path / "f.csv"
+        assert run("extract-features", "--in", str(raw_csv), "--out",
+                   str(out), "--window-s", "100") == 2
+        err = capsys.readouterr().err
+        assert "a 4 s recording holds no full 100 s window" in err
+        assert not out.exists()
+        assert not (tmp_path / "f.csv.report.json").exists()
+
 
     def test_predict_ignores_labels(self, tmp_path, labeled_csv):
         model = tmp_path / "m.bin"
