@@ -82,9 +82,9 @@ def akf_round():
     clean = Signal(samples=np.sin(2 * np.pi * 0.3 * t), fs=FS)
     noise = rng_stream(1, "demo3-akf").normal(size=N)
     mixed = Signal(samples=clean.samples + 0.5 * noise, fs=FS)
-    from eegscrub import KalmanConfig, adaptive_kalman_denoise
+    from eegscrub import adaptive_kalman_denoise
     # q sets how fast the tracked level may move; 1e-3 suits a 0.3 Hz drift
-    out, _ = adaptive_kalman_denoise(mixed, KalmanConfig(q=1e-3))
+    out, _ = adaptive_kalman_denoise(mixed, q=1e-3)
     show("adaptive Kalman", clean, mixed, out)
 
 

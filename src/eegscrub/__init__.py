@@ -26,7 +26,6 @@ from .dataset import (
 from .denoise import (
     METHOD_IDS,
     DenoiseReport,
-    KalmanConfig,
     adaptive_kalman_denoise,
     cascade_lms,
     denoise_dwt,

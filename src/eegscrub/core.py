@@ -162,9 +162,9 @@ def apply_filter(signal: Signal, spec: FilterSpec) -> Signal:
         padlen = min(len(x) - 1, max(3 * max(len(a), len(b)), decay))
         y = sps.filtfilt(b, a, x, padlen=padlen)
     else:
-        btype = {"bandpass": "bandpass", "lowpass": "lowpass", "highpass": "highpass"}[spec.kind]
         wn = spec.edges if spec.kind == "bandpass" else spec.edges[0]
-        sos = sps.butter(spec.order, wn, btype=btype, output="sos", fs=signal.fs)
+        sos = sps.butter(spec.order, wn, btype=spec.kind, output="sos",
+                         fs=signal.fs)
         padlen = 3 * (2 * sos.shape[0] + 1)
         if len(x) <= padlen:
             raise TooShortError(f"need more than {padlen} samples for this design")

@@ -45,23 +45,6 @@ class DenoiseReport:
         )
 
 
-@dataclass(frozen=True)
-class KalmanConfig:
-    q: float = 1e-5
-    r0: float = 1.0
-    adapt_window: int = 64
-
-    def __post_init__(self):
-        if not self.q > 0:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if not self.r0 > 0:
-            raise ValueError(f"r0 must be positive, got {self.r0}")
-        if self.adapt_window < 8:
-            raise ValueError(
-                f"adapt_window must be >= 8, got {self.adapt_window}"
-            )
-
-
 def _dominant_freq(samples: np.ndarray, fs: float) -> float:
     spectrum = np.abs(np.fft.rfft(samples))
     return float(np.fft.rfftfreq(len(samples), 1.0 / fs)[np.argmax(spectrum)])
@@ -215,19 +198,25 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
     return rec.with_channels(out_channels), report
 
 
-def adaptive_kalman_denoise(signal: Signal, cfg: KalmanConfig | None = None) -> tuple:
+def adaptive_kalman_denoise(signal: Signal, q: float = 1e-5, r0: float = 1.0,
+                            adapt_window: int = 64) -> tuple:
     """Scalar random-walk Kalman filter with innovation-based noise tracking."""
-    cfg = cfg or KalmanConfig()
+    if not q > 0:
+        raise ValueError(f"q must be positive, got {q}")
+    if not r0 > 0:
+        raise ValueError(f"r0 must be positive, got {r0}")
+    if adapt_window < 8:
+        raise ValueError(f"adapt_window must be >= 8, got {adapt_window}")
     z = signal.samples
     estimate = z[0]
-    p = cfg.r0
-    r = cfg.r0
+    p = r0
+    r = r0
     out = np.empty_like(z)
-    innovations = np.empty(cfg.adapt_window)
-    priors = np.empty(cfg.adapt_window)
+    innovations = np.empty(adapt_window)
+    priors = np.empty(adapt_window)
     fill = 0
     for t, measurement in enumerate(z):
-        p_prior = p + cfg.q
+        p_prior = p + q
         innovation = measurement - estimate
         gain = p_prior / (p_prior + r)
         estimate = estimate + gain * innovation
@@ -236,13 +225,12 @@ def adaptive_kalman_denoise(signal: Signal, cfg: KalmanConfig | None = None) -> 
         innovations[fill] = innovation
         priors[fill] = p_prior
         fill += 1
-        if fill == cfg.adapt_window:
-            r = max(innovations.var() - priors.mean(), cfg.r0 / 100.0)
+        if fill == adapt_window:
+            r = max(innovations.var() - priors.mean(), r0 / 100.0)
             fill = 0
     report = DenoiseReport(
         method_id="akf",
-        params={"q": str(cfg.q), "r0": str(cfg.r0),
-                "adapt_window": str(cfg.adapt_window)},
+        params={"q": str(q), "r0": str(r0), "adapt_window": str(adapt_window)},
         input_len=len(signal),
     )
     return signal.with_samples(out), report
@@ -364,7 +352,6 @@ class MethodSpec:
     params: tuple = ()
     multichannel: bool = False  # takes a Recording instead of one Signal
     needs: str | None = None  # "references" or "template"
-    config: type | None = None  # packs the keywords into one config object
 
 
 METHODS = {
@@ -377,7 +364,7 @@ METHODS = {
         Param("autocorr_thresh", float, 0.9),), multichannel=True),
     "akf": MethodSpec("adaptive_kalman_denoise", (
         Param("q", float, 1e-5), Param("r0", float, 1.0),
-        Param("adapt_window", int, 64)), config=KalmanConfig),
+        Param("adapt_window", int, 64))),
     "cascade_lms": MethodSpec("cascade_lms", (
         Param("mu", float, 0.05), Param("taps", int, 16)), needs="references"),
     "blink_template": MethodSpec("remove_blink_template", (
@@ -397,8 +384,6 @@ def apply_method(method_id: str, rec: Recording, *inputs, **params) -> tuple:
     """
     spec = METHODS[method_id]
     fn = globals()[spec.func]
-    if spec.config is not None:
-        inputs, params = inputs + (spec.config(**params),), {}
     if spec.multichannel:
         out, report = fn(rec, *inputs, **params)
         return out, [report]

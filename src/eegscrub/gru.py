@@ -78,9 +78,11 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class GruParams:
-    """Update (z), reset (r), and candidate (h) gate weights."""
+class GruModel:
+    """Update (z), reset (r) and candidate (h) gate weights, then the dense
+    output layer."""
 
+    config: ModelConfig
     wz: np.ndarray
     uz: np.ndarray
     bz: np.ndarray
@@ -90,20 +92,6 @@ class GruParams:
     wh: np.ndarray
     uh: np.ndarray
     bh: np.ndarray
-
-    @property
-    def hidden_size(self) -> int:
-        return self.wz.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.wz.shape[1]
-
-
-@dataclass(frozen=True)
-class GruModel:
-    config: ModelConfig
-    params: GruParams
     w_out: np.ndarray
     b_out: np.ndarray
     norm: NormStats | None = None
@@ -161,6 +149,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
+def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> tuple:
+    """Mean cross-entropy of labels ``y`` and its gradient in the logits.
+
+    Probabilities are floored at 1e-300, so a label whose probability
+    underflows to 0 costs 690.8 rather than inf.
+    """
+    rows = np.arange(len(y))
+    loss = float(-np.mean(np.log(np.maximum(probs[rows, y], 1e-300))))
+    dlogits = probs.copy()
+    dlogits[rows, y] -= 1.0
+    dlogits /= len(y)
+    return loss, dlogits
+
+
 def _normalized(rows, norm: NormStats | None) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return rows if norm is None else normalize(rows, norm.mode, norm)[0]
@@ -197,36 +199,32 @@ def init_gru(config: ModelConfig) -> GruModel:
             gates[name] = xavier(h, h)
         else:
             gates[name] = np.zeros(h)
-    return GruModel(
-        config=config,
-        params=GruParams(**gates),
-        w_out=xavier(c, t * h),
-        b_out=np.zeros(c),
-    )
+    return GruModel(config=config, **gates, w_out=xavier(c, t * h),
+                    b_out=np.zeros(c))
 
 
 def _forward_batch(model: GruModel, seqs: np.ndarray):
     """Returns (hidden sequence B x T x H, probabilities B x C, caches)."""
-    p = model.params
     b, t_steps, f = seqs.shape
     if t_steps != model.config.seq_len or f != model.config.feat_dim:
         raise ValueError(
             f"sequence shape {(t_steps, f)} does not match config "
             f"{(model.config.seq_len, model.config.feat_dim)}"
         )
-    h = np.zeros((b, p.hidden_size))
-    hs = np.empty((b, t_steps, p.hidden_size))
+    hidden = model.wz.shape[0]
+    h = np.zeros((b, hidden))
+    hs = np.empty((b, t_steps, hidden))
     caches = []
     for t in range(t_steps):
         xt = seqs[:, t, :]
-        z = _sigmoid(xt @ p.wz.T + h @ p.uz.T + p.bz)
-        r = _sigmoid(xt @ p.wr.T + h @ p.ur.T + p.br)
-        cand = np.tanh(xt @ p.wh.T + (r * h) @ p.uh.T + p.bh)
+        z = _sigmoid(xt @ model.wz.T + h @ model.uz.T + model.bz)
+        r = _sigmoid(xt @ model.wr.T + h @ model.ur.T + model.br)
+        cand = np.tanh(xt @ model.wh.T + (r * h) @ model.uh.T + model.bh)
         h_new = (1.0 - z) * h + z * cand
         caches.append((xt, h, z, r, cand))
         h = h_new
         hs[:, t, :] = h
-    flat = hs.reshape(b, t_steps * p.hidden_size)
+    flat = hs.reshape(b, t_steps * hidden)
     probs = _softmax(flat @ model.w_out.T + model.b_out)
     return hs, probs, (caches, flat)
 
@@ -253,23 +251,17 @@ def loss_and_grad(model: GruModel, seqs: np.ndarray, labels: np.ndarray,
             f"labels must be in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    p = model.params
-    b = seqs.shape[0]
     hs, probs, (caches, flat) = _forward_batch(model, seqs)
-    loss = float(-np.mean(np.log(probs[np.arange(b), labels])))
-
-    dlogits = probs.copy()
-    dlogits[np.arange(b), labels] -= 1.0
-    dlogits /= b
+    loss, dlogits = _cross_entropy(probs, labels)
     grads = {
         "w_out": dlogits.T @ flat,
         "b_out": dlogits.sum(axis=0),
     }
     for name in GATE_PARAM_NAMES:
-        grads[name] = np.zeros_like(getattr(p, name))
+        grads[name] = np.zeros_like(getattr(model, name))
     dh_seq = (dlogits @ model.w_out).reshape(hs.shape)
 
-    dh_next = np.zeros((b, p.hidden_size))
+    dh_next = np.zeros_like(hs[:, 0])
     for t in range(model.config.seq_len - 1, -1, -1):
         xt, h_prev, z, r, cand = caches[t]
         dh = dh_seq[:, t, :] + dh_next
@@ -280,19 +272,19 @@ def loss_and_grad(model: GruModel, seqs: np.ndarray, labels: np.ndarray,
         grads["wh"] += dcand.T @ xt
         grads["uh"] += dcand.T @ (r * h_prev)
         grads["bh"] += dcand.sum(axis=0)
-        drh = dcand @ p.uh
+        drh = dcand @ model.uh
         dr = drh * h_prev * r * (1.0 - r)
         dh_prev += drh * r
 
         grads["wz"] += dz.T @ xt
         grads["uz"] += dz.T @ h_prev
         grads["bz"] += dz.sum(axis=0)
-        dh_prev += dz @ p.uz
+        dh_prev += dz @ model.uz
 
         grads["wr"] += dr.T @ xt
         grads["ur"] += dr.T @ h_prev
         grads["br"] += dr.sum(axis=0)
-        dh_prev += dr @ p.ur
+        dh_prev += dr @ model.ur
 
         dh_next = dh_prev
 
@@ -304,19 +296,6 @@ def loss_and_grad(model: GruModel, seqs: np.ndarray, labels: np.ndarray,
     return loss, grads
 
 
-def _model_get(model, name: str) -> np.ndarray:
-    owner = model.params if name in GATE_PARAM_NAMES else model
-    return getattr(owner, name)
-
-
-def _model_with(model, updates: dict):
-    top = {k: v for k, v in updates.items() if k not in GATE_PARAM_NAMES}
-    gates = {k: v for k, v in updates.items() if k in GATE_PARAM_NAMES}
-    if gates:
-        top["params"] = replace(model.params, **gates)
-    return replace(model, **top)
-
-
 class _Adam:
     def __init__(self, tc: TrainConfig):
         self.tc = tc
@@ -324,7 +303,8 @@ class _Adam:
         self.v = {}
         self.t = 0
 
-    def step(self, values: dict, grads: dict) -> dict:
+    def step(self, model, grads: dict) -> dict:
+        """New values of the parameters named in ``grads``."""
         tc = self.tc
         self.t += 1
         out = {}
@@ -336,7 +316,7 @@ class _Adam:
             self.v[name] = tc.beta2 * self.v[name] + (1 - tc.beta2) * g**2
             m_hat = self.m[name] / (1 - tc.beta1**self.t)
             v_hat = self.v[name] / (1 - tc.beta2**self.t)
-            out[name] = values[name] - tc.learning_rate * m_hat / (
+            out[name] = getattr(model, name) - tc.learning_rate * m_hat / (
                 np.sqrt(v_hat) + tc.eps
             )
         return out
@@ -393,9 +373,7 @@ def _check_classes(y: np.ndarray, n_classes: int):
 
 def _epoch_stats(model, x: np.ndarray, y: np.ndarray) -> tuple:
     probs = model.predict_proba(x)
-    loss = float(-np.mean(np.log(
-        np.maximum(probs[np.arange(len(y)), y], 1e-300)
-    )))
+    loss, _ = _cross_entropy(probs, y)
     acc = float(np.mean(probs.argmax(axis=1) == y))
     return loss, acc
 
@@ -426,8 +404,7 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
         for start in range(0, len(order), tc.batch_size):
             batch = order[start : start + tc.batch_size]
             _, grads = loss_fn(model, inputs[batch], y_train[batch])
-            values = {n: _model_get(model, n) for n in grads}
-            model = _model_with(model, adam.step(values, grads))
+            model = replace(model, **adam.step(model, grads))
         train_loss, train_acc = _epoch_stats(model, rows[train_idx], y_train)
         val_loss, val_acc = _epoch_stats(model, rows[val_idx], y[val_idx])
         history.append({"epoch": epoch, "train_loss": train_loss,
@@ -450,12 +427,7 @@ def train(dataset: FeatureMatrix, mc: ModelConfig, tc: TrainConfig) -> tuple:
 
 
 def linear_loss_and_grad(model: LinearModel, x: np.ndarray, y: np.ndarray):
-    probs = _softmax(x @ model.w.T + model.b)
-    b = len(y)
-    loss = float(-np.mean(np.log(np.maximum(probs[np.arange(b), y], 1e-300))))
-    dlogits = probs.copy()
-    dlogits[np.arange(b), y] -= 1.0
-    dlogits /= b
+    loss, dlogits = _cross_entropy(_softmax(x @ model.w.T + model.b), y)
     return loss, {"w": dlogits.T @ x, "b": dlogits.sum(axis=0)}
 
 
@@ -501,17 +473,12 @@ def evaluate(model, dataset: FeatureMatrix, class_names=None) -> dict:
 def save_model(model, path) -> None:
     """Versioned binary container: JSON header + little-endian float64 blobs."""
     if isinstance(model, GruModel):
-        kind = "gru"
-        arrays = {n: _model_get(model, n) for n in GATE_PARAM_NAMES}
-        arrays["w_out"] = model.w_out
-        arrays["b_out"] = model.b_out
-        config = asdict(model.config)
+        kind, config = "gru", asdict(model.config)
     elif isinstance(model, LinearModel):
-        kind = "linear"
-        arrays = {"w": model.w, "b": model.b}
-        config = {"n_classes": model.n_classes}
+        kind, config = "linear", {"n_classes": model.n_classes}
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    arrays = {n: getattr(model, n) for n in _MODEL_LAYOUT[kind][1]}
     if model.norm is not None:
         arrays["norm_loc"] = np.asarray(model.norm.loc, dtype=float)
         arrays["norm_scale"] = np.asarray(model.norm.scale, dtype=float)
@@ -582,16 +549,13 @@ def load_model(path):
             if len(buf) != count * 8:
                 raise DataFormatError(f"{path}: truncated array {name!r}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    config = header["config"]
     norm = None
     if "norm_loc" in arrays:
-        norm = NormStats(mode=config.get("norm_mode", "zscore"),
-                         loc=arrays.pop("norm_loc"),
-                         scale=arrays.pop("norm_scale"))
+        norm = NormStats(mode=header["config"].get("norm_mode", "zscore"),
+                         loc=arrays["norm_loc"], scale=arrays["norm_scale"])
+    keys, names = _MODEL_LAYOUT[header["kind"]]
+    config = {k: header["config"][k] for k in keys}
+    fields = {n: arrays[n] for n in names}
     if header["kind"] == "gru":
-        mc = ModelConfig(**{k: config[k] for k in _MODEL_LAYOUT["gru"][0]})
-        gates = {n: arrays[n] for n in GATE_PARAM_NAMES}
-        return GruModel(config=mc, params=GruParams(**gates),
-                        w_out=arrays["w_out"], b_out=arrays["b_out"], norm=norm)
-    return LinearModel(n_classes=config["n_classes"], w=arrays["w"],
-                       b=arrays["b"], norm=norm)
+        return GruModel(config=ModelConfig(**config), **fields, norm=norm)
+    return LinearModel(**config, **fields, norm=norm)

@@ -108,7 +108,12 @@ def blink_bump(width_s: float, fs: float) -> np.ndarray:
 
 
 def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
-    """Draw one deterministic contaminant realization."""
+    """Draw one deterministic contaminant realization.
+
+    ``blink`` draws a Poisson number of blinks at ``rate`` per minute but at
+    least one whenever the rate is positive, so the contaminant is never
+    silent by chance; ``rate=0`` gives an all-zero contaminant.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = rng_stream(spec.seed, spec.kind)
@@ -153,7 +158,7 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
         width = len(bump)
         samples = np.zeros(n)
         expected = p["rate"] * (n / fs) / 60.0
-        n_events = rng.poisson(expected) if expected > 0 else 0
+        n_events = max(1, rng.poisson(expected)) if expected > 0 else 0
         starts = rng.integers(0, max(1, n - width), size=n_events) if n_events else []
         for start in starts:
             seg = samples[start : start + width]

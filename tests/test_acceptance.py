@@ -16,7 +16,6 @@ import pytest
 from eegscrub import (
     FeatureMatrix,
     FilterSpec,
-    KalmanConfig,
     NoiseSpec,
     Recording,
     Signal,
@@ -232,7 +231,7 @@ def test_criterion_4_gru_correctness():
 
         names = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
         theta = np.concatenate(
-            [getattr(model.params, n).ravel() for n in names]
+            [getattr(model, n).ravel() for n in names]
             + [model.w_out.ravel(), model.b_out.ravel()]
         )
         flat_grad = np.concatenate(
@@ -244,7 +243,7 @@ def test_criterion_4_gru_correctness():
             offset = 0
             updates = {}
             for n in names:
-                arr = getattr(model.params, n)
+                arr = getattr(model, n)
                 updates[n] = vec[offset: offset + arr.size].reshape(
                     arr.shape)
                 offset += arr.size
@@ -252,7 +251,7 @@ def test_criterion_4_gru_correctness():
                 model.w_out.shape)
             offset += model.w_out.size
             b_out = vec[offset:]
-            probe = replace(model, params=replace(model.params, **updates),
+            probe = replace(model, **updates,
                             w_out=w_out, b_out=b_out)
             return loss_and_grad(probe, seqs, labels)[0]
 
@@ -271,9 +270,9 @@ def test_criterion_4_gru_correctness():
     mc = ModelConfig(seq_len=4, feat_dim=3, hidden_size=5, n_classes=3,
                      seed=0)
     model = init_gru(mc)
-    zero = {n: np.zeros_like(getattr(model.params, n))
+    zero = {n: np.zeros_like(getattr(model, n))
             for n in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
-    model = replace(model, params=replace(model.params, **zero),
+    model = replace(model, **zero,
                     w_out=np.zeros_like(model.w_out),
                     b_out=np.zeros_like(model.b_out))
     from eegscrub.gru import forward
@@ -297,8 +296,8 @@ def test_criterion_4_gru_correctness():
     model_b, _ = train(data, mc, tc)
     names = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
     bit_ok = all(
-        np.array_equal(getattr(model_a.params, n),
-                       getattr(model_b.params, n))
+        np.array_equal(getattr(model_a, n),
+                       getattr(model_b, n))
         for n in names
     ) and np.array_equal(model_a.w_out, model_b.w_out)
 

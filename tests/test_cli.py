@@ -350,6 +350,16 @@ class TestBench:
                    "kind=emg_burst,duty=1", "--snrs", "0", "--seeds", "1",
                    "--out", str(out)) == 0
 
+    def test_blink_template_on_blink_noise(self, tmp_path):
+        # seed 0 draws no blink from the Poisson law; gen_noise places one
+        out = tmp_path / "leaderboard.csv"
+        assert run("bench", "--methods", "blink_template", "--noises",
+                   "kind=blink", "--snrs", "0", "--seeds", "4", "--n",
+                   "2048", "--out", str(out)) == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0].startswith("method,")
+        assert len(lines) == 2
+
 
 class TestDenoiseEveryMethod:
     @pytest.mark.parametrize("method", METHOD_IDS)

@@ -1,9 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from eegscrub import (
-    KalmanConfig,
     NoiseSpec,
     Recording,
     Signal,
@@ -20,7 +21,9 @@ from eegscrub import (
     remove_muscle_ssa_cca,
     rng_stream,
 )
+from eegscrub import denoise
 from eegscrub.bench import make_blink_template
+from eegscrub.denoise import METHOD_IDS, METHODS
 from eegscrub.decompose import ssa_decompose, ssa_reconstruct
 from eegscrub.errors import DivergenceError, TooShortError
 
@@ -210,30 +213,27 @@ class TestAdaptiveKalman:
     def test_constant_plus_noise(self):
         rng = rng_stream(0, "akf-test")
         x = Signal(samples=5.0 + rng.normal(size=4096), fs=FS)
-        out, _ = adaptive_kalman_denoise(x, KalmanConfig())
+        out, _ = adaptive_kalman_denoise(x)
         tail = out.samples[3 * 4096 // 4:]
         assert abs(tail.mean() - 5.0) < 0.05
         assert tail.var() < 0.05
 
     def test_tracks_noiseless_input(self):
         x = sine(4.0, n=2048)
-        out, _ = adaptive_kalman_denoise(
-            x, KalmanConfig(q=1.0, r0=1e-6)
-        )
+        out, _ = adaptive_kalman_denoise(x, q=1.0, r0=1e-6)
         rmse = np.sqrt(np.mean((out.samples - x.samples) ** 2))
         assert rmse < 0.01 * np.sqrt(np.mean(x.samples**2))
 
     def test_zero_in_zero_out(self):
-        out, _ = adaptive_kalman_denoise(
-            Signal(samples=np.zeros(512), fs=FS), KalmanConfig()
-        )
+        out, _ = adaptive_kalman_denoise(Signal(samples=np.zeros(512), fs=FS))
         assert np.all(out.samples == 0.0)
 
     def test_config_validation(self):
+        x = sine(4.0, n=256)
         with pytest.raises(ValueError):
-            KalmanConfig(q=0.0)
+            adaptive_kalman_denoise(x, q=0.0)
         with pytest.raises(ValueError):
-            KalmanConfig(adapt_window=4)
+            adaptive_kalman_denoise(x, adapt_window=4)
 
 
 class TestCascadeLms:
@@ -357,13 +357,12 @@ class TestBlinkTemplate:
 class TestCommonContracts:
     def test_length_fs_preserved_and_finite(self):
         x = contaminated(sine(10.0, n=1024), "awgn", 0)
-        cfg = KalmanConfig()
         single = [
             lambda: identity(x),
             lambda: denoise_dwt(x),
             lambda: denoise_emd_maf(x),
             lambda: remove_motion_ssa(x),
-            lambda: adaptive_kalman_denoise(x, cfg),
+            lambda: adaptive_kalman_denoise(x),
             lambda: cascade_lms(x, [sine(50.0, n=1024)]),
         ]
         for run in single:
@@ -381,3 +380,13 @@ class TestCommonContracts:
         a, _ = denoise_emd_maf(x)
         b, _ = denoise_emd_maf(x)
         assert np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("method_id", METHOD_IDS)
+def test_method_params_match_signature(method_id):
+    # each table default must be the function's own keyword default
+    spec = METHODS[method_id]
+    keywords = inspect.signature(getattr(denoise, spec.func)).parameters
+    for param in spec.params:
+        assert param.name in keywords
+        assert param.default == keywords[param.name].default, param.name

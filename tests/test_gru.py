@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from eegscrub import FeatureMatrix, rng_stream
 from eegscrub.errors import DataFormatError, StratificationError
 from eegscrub.gru import (
+    MODEL_MAGIC,
     ModelConfig,
     TrainConfig,
     evaluate,
@@ -48,7 +51,7 @@ def blob_dataset(n_per_class=40, n_features=12, seed=0, spread=0.35):
 
 
 def flatten_params(model):
-    parts = [getattr(model.params, name).ravel()
+    parts = [getattr(model, name).ravel()
              for name in ("wz", "uz", "bz", "wr", "ur", "br",
                           "wh", "uh", "bh")]
     parts += [model.w_out.ravel(), model.b_out.ravel()]
@@ -79,12 +82,12 @@ class TestForward:
     def test_zero_weights_uniform_softmax(self):
         model = tiny_model()
         zero = {
-            name: np.zeros_like(getattr(model.params, name))
+            name: np.zeros_like(getattr(model, name))
             for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh",
                          "bh")
         }
         from dataclasses import replace
-        model = replace(model, params=replace(model.params, **zero),
+        model = replace(model, **zero,
                         w_out=np.zeros_like(model.w_out),
                         b_out=np.zeros_like(model.b_out))
         x = rng_stream(1, "fw-x").normal(size=(3, 2))
@@ -112,7 +115,7 @@ class TestForward:
             "wh": np.array([[0.8]]), "uh": np.array([[0.0]]),
             "bh": np.array([-0.1]),
         }
-        model = replace(model, params=replace(model.params, **vals))
+        model = replace(model, **vals)
         x = np.array([[0.7]])
         hidden, _ = forward(model, x)
         z = 1.0 / (1.0 + np.exp(-(0.5 * 0.7 + 0.1)))
@@ -132,11 +135,11 @@ class TestLossAndGrad:
         from dataclasses import replace
         model = tiny_model()
         zero = {
-            name: np.zeros_like(getattr(model.params, name))
+            name: np.zeros_like(getattr(model, name))
             for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh",
                          "bh")
         }
-        model = replace(model, params=replace(model.params, **zero),
+        model = replace(model, **zero,
                         w_out=np.zeros_like(model.w_out),
                         b_out=np.zeros_like(model.b_out))
         seqs, labels = random_batch(model, 4)
@@ -158,7 +161,7 @@ class TestLossAndGrad:
             updates = {}
             for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh",
                          "bh"):
-                arr = getattr(m.params, name)
+                arr = getattr(m, name)
                 updates[name] = vec[offset: offset + arr.size].reshape(
                     arr.shape)
                 offset += arr.size
@@ -166,7 +169,7 @@ class TestLossAndGrad:
                 m.w_out.shape)
             offset += m.w_out.size
             b_out = vec[offset:].reshape(m.b_out.shape)
-            m = replace(m, params=replace(m.params, **updates),
+            m = replace(m, **updates,
                         w_out=w_out, b_out=b_out)
             loss, _ = loss_and_grad(m, seqs, labels)
             return loss
@@ -376,6 +379,15 @@ class TestEvaluate:
 
 
 class TestSerialization:
+    @staticmethod
+    def trained(kind):
+        data = blob_dataset(n_per_class=10)
+        tc = TrainConfig(epochs=2, batch_size=8, seed=2)
+        if kind == "linear":
+            return train_linear_baseline(data, tc)[0]
+        mc = ModelConfig.for_features(12, 3, hidden_size=8, seed=2)
+        return train(data, mc, tc)[0]
+
     def test_gru_round_trip(self, tmp_path):
         data = blob_dataset(n_per_class=10)
         mc = ModelConfig.for_features(12, 3, hidden_size=8, seed=2)
@@ -397,6 +409,36 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         assert np.array_equal(model.w, loaded.w)
+        assert np.array_equal(model.b, loaded.b)
+        assert loaded.norm.mode == model.norm.mode
+        assert np.array_equal(model.norm.loc, loaded.norm.loc)
+        assert np.array_equal(model.norm.scale, loaded.norm.scale)
+
+    @pytest.mark.parametrize("kind", ["gru", "linear"])
+    def test_save_load_save_byte_identical(self, tmp_path, kind):
+        model = self.trained(kind)
+        assert model.norm is not None
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["gru", "linear"])
+    def test_extra_manifest_array_ignored(self, tmp_path, kind):
+        model = self.trained(kind)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        header_line, blobs = path.read_bytes()[len(MODEL_MAGIC):].split(
+            b"\n", 1)
+        header = json.loads(header_line)
+        header["manifest"].insert(0, ["extra", [2]])
+        path.write_bytes(
+            MODEL_MAGIC + (json.dumps(header) + "\n").encode("utf-8")
+            + np.array([1.0, 2.0], dtype="<f8").tobytes() + blobs)
+        loaded = load_model(path)
+        rows = blob_dataset(n_per_class=10).rows[:5]
+        assert np.array_equal(loaded.predict_proba(rows),
+                              model.predict_proba(rows))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -85,6 +85,17 @@ class TestGenNoise:
         assert x.min() >= -1e-12
         assert x.max() > 0.0
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blink_never_silent_at_positive_rate(self, seed):
+        # seeds 0 and 5 draw no blink from the Poisson law at the default
+        # rate over 8 s; at least one is placed all the same
+        x = gen_noise(NoiseSpec("blink", {}, seed=seed), 2048, 256.0).samples
+        assert np.any(x != 0.0)
+
+    def test_blink_rate_zero_is_silent(self):
+        spec = NoiseSpec("blink", {"rate": 0.0}, seed=0)
+        assert np.all(gen_noise(spec, 2048, 256.0).samples == 0.0)
+
 
 class TestMixAtSnr:
     def test_zero_db_matches_power(self):
