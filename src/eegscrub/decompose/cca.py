@@ -50,12 +50,13 @@ def cca(x: Recording, y: Recording) -> CcaResult:
             f"({len(x.channels)} and {len(y.channels)})"
         )
     xc = x.to_array().T
-    xc = xc - xc.mean(axis=1, keepdims=True)
+    xc -= xc.mean(axis=1, keepdims=True)
     yc = y.to_array().T
-    yc = yc - yc.mean(axis=1, keepdims=True)
+    yc -= yc.mean(axis=1, keepdims=True)
     cxx = xc @ xc.T / (n - 1)
     cyy = yc @ yc.T / (n - 1)
     cxy = xc @ yc.T / (n - 1)
+    del yc  # each centred copy is channels x N; only xc is needed below
 
     white_x = _inv_sqrt(cxx, "x")
     white_y = _inv_sqrt(cyy, "y")
@@ -66,6 +67,7 @@ def cca(x: Recording, y: Recording) -> CcaResult:
     correlations = np.clip(s[:n_pairs], 0.0, 1.0)
 
     variates = wx @ xc
+    del xc
     channels = tuple(
         Signal(samples=variates[i], fs=x.fs) for i in range(n_pairs)
     )

@@ -150,6 +150,13 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
 
     Only the top 4 SSA components of each channel enter CCA or the output, so
     this truncation alone removes broadband content.
+
+    Memory: the components and their one-sample delays (2 x 16 x N for 4
+    channels) live only until ``cca`` returns; each component is then
+    remembered by its mean alone. The inverse projection and the sum over
+    each channel's components are folded into one n_ch x 16 matrix, so the
+    output is built from the kept sources in one product, with no cleaned
+    copy of the sources and no per-component projection.
     """
     n_ch = len(rec.channels)
     if not 1 <= n_ch <= 8:
@@ -166,27 +173,32 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
         for i in range(min(top_k, model.n_components)):
             comps.append(model.component(i))
             owner.append(c)
+    means = np.array([s.samples.mean() for s in comps])
     names = tuple(f"c{i}" for i in range(len(comps)))
     delayed = [s.with_samples(np.concatenate([s.samples[:1], s.samples[:-1]]))
                for s in comps]
     result = cca(Recording(comps, names), Recording(delayed, names))
+    del comps, delayed  # the output needs only the means and the sources
 
-    sources = result.sources.to_array().T
+    sources = [src.samples for src in result.sources.channels]
     # a constant source counts as fully autocorrelated and is kept
     autocorrs = [1.0 if rho is None else rho
                  for rho in (pearson(src[1:], src[:-1]) for src in sources)]
     zeroed = [i for i, rho in enumerate(autocorrs) if rho < autocorr_thresh]
-    sources_clean = sources.copy()
-    sources_clean[zeroed] = 0.0
+    kept = [i for i, rho in enumerate(autocorrs) if rho >= autocorr_thresh]
 
-    stacked = np.array([s.samples for s in comps])
     try:
         back = np.linalg.inv(result.wx)
     except np.linalg.LinAlgError:
         raise NumericDegeneracyError("canonical projection is not invertible")
-    cleaned = back @ sources_clean + stacked.mean(axis=1, keepdims=True)
-    out_channels = [ch.with_samples(cleaned[np.equal(owner, c)].sum(axis=0))
-                    for c, ch in enumerate(rec.channels)]
+    owners = np.equal.outer(np.arange(n_ch), owner).astype(float)
+    mix = owners @ back  # source i's share of each channel
+    # reshaped so that no kept source still gives a 0 x N operand
+    kept_sources = np.reshape([sources[i] for i in kept],
+                              (len(kept), rec.n_samples))
+    cleaned = mix[:, kept] @ kept_sources + (owners @ means)[:, None]
+    out_channels = [ch.with_samples(row)
+                    for ch, row in zip(rec.channels, cleaned)]
     report = DenoiseReport(
         method_id="ssa_cca",
         params={"autocorr_thresh": str(autocorr_thresh), "top_k": str(top_k)},
@@ -252,6 +264,7 @@ def cascade_lms(
             )
     current = primary.samples.copy()
     n = len(current)
+    reduction_db, max_weight = [], []
     for stage, ref in enumerate(references):
         x = ref.samples
         # scaled to the reference power, so the nearly empty first windows
@@ -259,26 +272,34 @@ def cascade_lms(
         delta = 1e-3 * taps * float(np.var(x)) or np.finfo(float).tiny
         w = np.zeros(taps)
         out = np.empty(n)
-        window = np.zeros(taps)  # window[0] is the newest sample
+        # row t is the window at sample t, newest sample first
+        windows = np.ascontiguousarray(sliding_window_view(
+            np.concatenate([np.zeros(taps - 1), x]), taps)[:, ::-1])
         stage_in_energy = float(current @ current)
         # a diverging weight vector overflows before the check below fires
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(n):
-                window[1:] = window[:-1]
-                window[0] = x[t]
+            for t, window in enumerate(windows):
                 err = current[t] - w @ window
                 out[t] = err
                 w = w + mu * err * window / (window @ window + delta)
-        if not np.all(np.isfinite(out)) or float(out @ out) > 100.0 * stage_in_energy:
+            stage_out_energy = float(out @ out)
+        if not np.all(np.isfinite(out)) or stage_out_energy > 100.0 * stage_in_energy:
             raise DivergenceError(
                 f"NLMS stage {stage} diverged (mu={mu}, taps={taps})"
             )
+        # inf when a stage cancels everything, nan for an all-zero input
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reduction_db.append(float(
+                10.0 * np.log10(np.divide(stage_in_energy, stage_out_energy))))
+        max_weight.append(float(np.max(np.abs(w))))
         current = out
     report = DenoiseReport(
         method_id="cascade_lms",
         params={"mu": str(mu), "taps": str(taps),
                 "stages": str(len(references))},
         input_len=n,
+        decisions={"energy_reduction_db": reduction_db,
+                   "max_abs_weight": max_weight},
     )
     return primary.with_samples(current), report
 

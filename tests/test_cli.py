@@ -220,6 +220,17 @@ class TestExitCodes:
         assert not (tmp_path / "f.csv.report.json").exists()
 
 
+    def test_ssa_on_three_samples_data_error(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("a,b\n" + "1.0,2.0\n" * 3, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert run("denoise", "--in", str(path), "--method", "ssa_motion",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "SSA needs at least 4 samples, got 3" in err
+        assert "window_len" not in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_predict_ignores_labels(self, tmp_path, labeled_csv):
         model = tmp_path / "m.bin"
         assert run("train", "--features", str(labeled_csv), "--model",

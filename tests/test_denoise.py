@@ -294,6 +294,42 @@ class TestCascadeLms:
         out, _ = cascade_lms(x, [x.with_samples(np.zeros(len(x)))])
         assert np.array_equal(out.samples, x.samples)
 
+    @pytest.mark.parametrize("taps, n", [(1, 5), (3, 2048), (16, 5),
+                                         (16, 2048), (33, 2048)])
+    def test_matches_shifting_window_loop(self, taps, n):
+        x = contaminated(sine(10.0, n=n), "emg_burst", 0, duty=1.0)
+        refs = [gen_noise(NoiseSpec("emg_burst", {"duty": 1.0}, seed=7), n, FS),
+                sine(50.0, n=n)]
+        current, mu = x.samples.copy(), 0.05
+        for ref in refs:  # one sample shifted into the window per step
+            delta = 1e-3 * taps * float(np.var(ref.samples))
+            w, window, out = np.zeros(taps), np.zeros(taps), np.empty(n)
+            for t in range(n):
+                window[1:] = window[:-1]
+                window[0] = ref.samples[t]
+                out[t] = current[t] - w @ window
+                w = w + mu * out[t] * window / (window @ window + delta)
+            current = out
+        got, _ = cascade_lms(x, refs, mu=mu, taps=taps)
+        assert np.array_equal(got.samples, current)
+
+    def test_reports_each_stage(self):
+        clean = sine(10.0)
+        mains = sine(50.0, phase=0.2)
+        drift = sine(0.3, amp=2.0, phase=1.0)
+        mixed = Signal(
+            samples=clean.samples + mains.samples + drift.samples, fs=FS
+        )
+        _, report = cascade_lms(mixed, [sine(50.0), sine(0.3, amp=2.0)])
+        reduction = report.decisions["energy_reduction_db"]
+        weights = report.decisions["max_abs_weight"]
+        assert len(reduction) == len(weights) == 2
+        assert reduction[0] > 0 and reduction[1] > 0
+        assert all(w > 0 for w in weights)
+        _, idle = cascade_lms(mixed, [mixed.with_samples(np.zeros(len(mixed)))])
+        assert idle.decisions == {"energy_reduction_db": [0.0],
+                                  "max_abs_weight": [0.0]}
+
 
 class TestBlinkTemplate:
     def build_case(self, amps=(3.0, 2.5, 3.5), n=2048):

@@ -4,10 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eegscrub
-from eegscrub import Signal, rng_stream
+from eegscrub import InvalidSpecError, Signal, TooShortError, rng_stream
 from eegscrub.decompose import default_window, ssa_decompose, ssa_reconstruct
+from eegscrub.decompose.ssa import _lag_cov, _row_blocks
 
 
 def sine(freq, n=1024, fs=256.0):
@@ -58,6 +61,16 @@ class TestDecompose:
             ssa_decompose(x, window_len=1)
         with pytest.raises(ValueError):
             ssa_decompose(x, window_len=51)
+
+    def test_window_errors_are_typed(self):
+        x = sine(5.0, n=100)
+        with pytest.raises(InvalidSpecError, match="got L=51 for N=100"):
+            ssa_decompose(x, window_len=51)
+        with pytest.raises(TooShortError,
+                           match="SSA needs at least 4 samples, got 3"):
+            ssa_decompose(Signal(samples=np.ones(3), fs=256.0))
+        assert ssa_decompose(Signal(samples=np.arange(4.0), fs=256.0)
+                             ).window_len == 2
 
     def test_default_window(self):
         assert default_window(100) == 50
@@ -116,6 +129,29 @@ class TestAgainstTrajectorySvd:
         assert np.array_equal(ssa_reconstruct(model, []).samples, np.zeros(64))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(4, 600),
+    window_frac=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["noise", "constant", "zero", "offset"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lag_cov_matches_blocked_sum(n, window_frac, kind, seed):
+    length = 2 + round(window_frac * (n // 2 - 2))
+    x = np.random.default_rng(seed).normal(size=n)
+    if kind == "constant":
+        x = np.full(n, x[0])
+    elif kind == "zero":
+        x = np.zeros(n)
+    elif kind == "offset":
+        x = 1000.0 + 1e-4 * x
+    cov = _lag_cov(x, length)
+    ref = sum(block.T @ block for block in _row_blocks(x, length))
+    assert cov.shape == (length, length)
+    assert np.array_equal(cov, cov.T)
+    assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 _PEAK_RSS_SCRIPT = """
 import resource
 import numpy as np
@@ -146,3 +182,38 @@ def test_ten_minute_decomposition_stays_small():
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert float(done.stdout) < 64.0
+
+
+_SSA_CCA_PEAK_RSS_SCRIPT = """
+import resource
+import numpy as np
+from eegscrub import Recording, Signal, rng_stream
+from eegscrub.denoise import remove_muscle_ssa_cca
+
+def peak_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+def recording(n, seed):
+    rng = rng_stream(seed, "ssa-cca-rss")
+    t = np.arange(n) / 256.0
+    return Recording([Signal(np.sin(2 * np.pi * (6 + c) * t)
+                             + 0.5 * rng.normal(size=n), 256.0)
+                      for c in range(4)], ("TP9", "AF7", "AF8", "TP10"))
+
+remove_muscle_ssa_cca(recording(2048, 0))  # BLAS buffers on first use
+rec = recording(153_600, 1)
+before = peak_mib()
+remove_muscle_ssa_cca(rec)
+print(peak_mib() - before)
+"""
+
+
+def test_ten_minute_ssa_cca_stays_small():
+    # ten minutes of 4 channels at 256 Hz: each 16 x N array of the 16
+    # components or sources is about 19 MiB
+    src = os.path.dirname(os.path.dirname(eegscrub.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _SSA_CCA_PEAK_RSS_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert float(done.stdout) < 100.0
