@@ -8,7 +8,7 @@ Run with: python3 demos/02_decompositions.py
 
 import numpy as np
 
-from eegscrub import Recording, Signal
+from eegscrub import Signal
 from eegscrub.decompose import cca, dwt_forward, dwt_inverse, emd, ssa_decompose, ssa_reconstruct
 from eegscrub.rng import rng_stream
 
@@ -68,17 +68,11 @@ def main():
     print("\n=== canonical correlation analysis ===")
     rng = rng_stream(1, "demo2-cca")
     shared = np.sin(2 * np.pi * 7.0 * np.arange(2048) / FS)
-
-    def as_rec(rows, tag):
-        chans = tuple(Signal(samples=r, fs=FS) for r in rows)
-        names = tuple(f"{tag}{i}" for i in range(len(rows)))
-        return Recording(channels=chans, channel_names=names)
-
-    x = [shared + 0.1 * rng.normal(size=2048) for _ in range(3)]
-    res = cca(as_rec(x, "a"), as_rec(x, "b"))
+    x = np.array([shared + 0.1 * rng.normal(size=2048) for _ in range(3)])
+    res = cca(x, x)
     print(f"identical views: correlations {np.round(res.correlations, 6)}")
-    y = [rng.normal(size=2048) for _ in range(3)]
-    res = cca(as_rec(x, "a"), as_rec(y, "b"))
+    y = np.array([rng.normal(size=2048) for _ in range(3)])
+    res = cca(x, y)
     print(f"independent views: correlations {np.round(res.correlations, 3)}")
 
 

@@ -1,5 +1,6 @@
 """Canonical correlation analysis via whitening and SVD.
 
+Both views are (channels x samples) float arrays; neither is modified.
 Covariances get a ridge of 1e-8 times their trace average before inversion so
 near-collinear channels stay solvable; anything still non-positive-definite
 after that raises instead of returning garbage correlations.
@@ -9,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Recording, Signal
-from ..errors import NumericDegeneracyError, TooShortError
+from ..errors import DegenerateInputError, NumericDegeneracyError, TooShortError
 
 RIDGE_SCALE = 1e-8
 
@@ -22,7 +22,7 @@ class CcaResult:
     wx: np.ndarray
     wy: np.ndarray
     correlations: np.ndarray
-    sources: Recording
+    sources: np.ndarray  # n_pairs x samples, row i is wx[i] @ (x - mean)
 
 
 def _inv_sqrt(cov: np.ndarray, side: str) -> np.ndarray:
@@ -37,44 +37,39 @@ def _inv_sqrt(cov: np.ndarray, side: str) -> np.ndarray:
     return eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
 
 
-def cca(x: Recording, y: Recording) -> CcaResult:
-    """Find projections of x and y with maximally correlated outputs."""
-    if x.n_samples != y.n_samples:
-        raise ValueError(
-            f"recordings differ in length: {x.n_samples} vs {y.n_samples}"
-        )
-    n = x.n_samples
-    if n <= max(len(x.channels), len(y.channels)):
+def cca(x: np.ndarray, y: np.ndarray) -> CcaResult:
+    """Find projections of x and y with maximally correlated outputs.
+
+    x and y are (channels x N) and stay unchanged. y is centred and released
+    before x is, so a y passed as a temporary is freed first; at most two
+    more channels x N arrays are alive at once.
+    """
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValueError("x and y must be 2-D (channels x samples), got "
+                         f"shapes {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DegenerateInputError("x or y has non-finite samples")
+    if x.shape[1] != y.shape[1]:
+        raise ValueError(f"x and y differ in length: {x.shape} vs {y.shape}")
+    n = x.shape[1]
+    if n <= max(len(x), len(y)):
         raise TooShortError(
-            f"need more samples ({n}) than channels "
-            f"({len(x.channels)} and {len(y.channels)})"
+            f"need more samples ({n}) than channels ({len(x)} and {len(y)})"
         )
-    xc = x.to_array().T
-    xc -= xc.mean(axis=1, keepdims=True)
-    yc = y.to_array().T
-    yc -= yc.mean(axis=1, keepdims=True)
+    n_pairs = min(len(x), len(y))
+    yc = y - y.mean(axis=1, keepdims=True)
+    del y
+    xc = x - x.mean(axis=1, keepdims=True)
     cxx = xc @ xc.T / (n - 1)
     cyy = yc @ yc.T / (n - 1)
     cxy = xc @ yc.T / (n - 1)
-    del yc  # each centred copy is channels x N; only xc is needed below
+    del yc  # only xc is needed below
 
     white_x = _inv_sqrt(cxx, "x")
     white_y = _inv_sqrt(cyy, "y")
     u, s, vt = np.linalg.svd(white_x @ cxy @ white_y.T)
-    n_pairs = min(len(x.channels), len(y.channels))
     wx = (u.T @ white_x)[:n_pairs]
     wy = (vt @ white_y)[:n_pairs]
     correlations = np.clip(s[:n_pairs], 0.0, 1.0)
-
-    variates = wx @ xc
-    del xc
-    channels = tuple(
-        Signal(samples=variates[i], fs=x.fs) for i in range(n_pairs)
-    )
-    names = tuple(f"source_{i}" for i in range(n_pairs))
-    return CcaResult(
-        wx=wx,
-        wy=wy,
-        correlations=correlations,
-        sources=Recording(channels=channels, channel_names=names),
-    )
+    return CcaResult(wx=wx, wy=wy, correlations=correlations,
+                     sources=wx @ xc)

@@ -33,12 +33,6 @@ class ImfSet:
     def __post_init__(self):
         object.__setattr__(self, "imfs", tuple(self.imfs))
 
-    def reconstruct(self) -> Signal:
-        total = self.residual.samples.copy()
-        for imf in self.imfs:
-            total += imf.samples
-        return self.residual.with_samples(total)
-
 
 def find_extrema(x: np.ndarray):
     """Indices of local maxima and minima; plateaus count once, at their middle."""

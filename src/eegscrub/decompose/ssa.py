@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core import Signal
-from ..errors import InvalidSpecError, TooShortError
+from ..errors import InvalidSpecError, NumericDegeneracyError, TooShortError
 
 # eigenvalues of C below this fraction of the largest are within 1e4 times
 # its rounding noise; their directions are measured on the signal instead
@@ -48,13 +48,12 @@ class SsaModel:
     def n_components(self) -> int:
         return len(self.singular_values)
 
-    def component(self, i: int) -> Signal:
+    def component(self, i: int) -> np.ndarray:
         """Elementary component i: the diagonal average of u_i u_i^T X."""
         u = self.eigenvectors[:, i]
         ramp = np.arange(1, self.n_samples + 1)
         counts = np.minimum(np.minimum(ramp, ramp[::-1]), self.window_len)
-        series = np.convolve(u, np.correlate(self.samples, u, "valid"))
-        return Signal(samples=series / counts, fs=self.fs)
+        return np.convolve(u, np.correlate(self.samples, u, "valid")) / counts
 
 
 def default_window(n_samples: int) -> int:
@@ -87,7 +86,11 @@ def _lag_cov(x: np.ndarray, length: int) -> np.ndarray:
 
 
 def ssa_decompose(signal: Signal, window_len: int | None = None) -> SsaModel:
-    """Decompose a signal; components are built by ``SsaModel.component``."""
+    """Decompose a signal; components are built by ``SsaModel.component``.
+
+    A nonzero signal whose lag covariance overflows or underflows (max |x|
+    above about 1e153 or below about 1e-162) raises NumericDegeneracyError.
+    """
     x = signal.samples
     n = len(x)
     if window_len is None:
@@ -100,7 +103,11 @@ def ssa_decompose(signal: Signal, window_len: int | None = None) -> SsaModel:
             raise InvalidSpecError(
                 f"window_len must satisfy 2 <= L <= N/2, got L={length} for N={n}"
             )
-    cov = _lag_cov(x, length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _lag_cov(x, length)
+    if not np.isfinite(cov).all() or (x.any() and not cov.any()):
+        raise NumericDegeneracyError("lag covariance is out of float range "
+                                     f"(max |x| = {np.max(np.abs(x)):.3e})")
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
     low = eigvals < eigvals[0] * EIG_NOISE_TOL
@@ -128,6 +135,6 @@ def ssa_reconstruct(model: SsaModel, group) -> Signal:
         raise ValueError(
             f"component index out of range 0..{model.n_components - 1}: {indices}"
         )
-    total = sum((model.component(i).samples for i in indices),
+    total = sum((model.component(i) for i in indices),
                 np.zeros(model.n_samples))
     return Signal(samples=total, fs=model.fs)

@@ -19,7 +19,6 @@ from eegscrub import (
     NoiseSpec,
     Recording,
     Signal,
-    adaptive_kalman_denoise,
     apply_filter,
     cascade_lms,
     compute_metrics,

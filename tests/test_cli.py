@@ -231,6 +231,20 @@ class TestExitCodes:
         assert "window_len" not in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_ssa_lag_covariance_overflow_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        wave = 1e200 * np.sin(np.arange(512) * 0.3)
+        path.write_text("a,b\n" + "".join(f"{v!r},{-v!r}\n"
+                                          for v in wave.tolist()),
+                        encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert run("denoise", "--in", str(path), "--method", "ssa_motion",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "lag covariance is out of float range" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_predict_ignores_labels(self, tmp_path, labeled_csv):
         model = tmp_path / "m.bin"
         assert run("train", "--features", str(labeled_csv), "--model",
@@ -279,6 +293,18 @@ class TestDenoise:
         assert report["config"]["levels"] == 3
         assert len(report["results"]["reports"]) == 4
         assert report["results"]["reports"][0]["method_id"] == "dwt"
+
+    def test_ssa_cca_all_zero_input_unchanged(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("TP9,AF7,AF8,TP10\n" + "0.0,0.0,0.0,0.0\n" * 1024,
+                        encoding="utf-8")
+        out = tmp_path / "clean.csv"
+        assert run("denoise", "--in", str(path), "--method", "ssa_cca",
+                   "--out", str(out)) == 0
+        assert np.array_equal(load_raw_csv(out).to_array(),
+                              load_raw_csv(path).to_array())
+        report = read_report(str(out) + ".report.json")
+        assert report["results"]["reports"][0]["components_removed"] == []
 
     def test_multichannel_method(self, raw_csv, tmp_path):
         out = tmp_path / "clean.csv"

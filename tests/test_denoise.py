@@ -2,7 +2,6 @@ import inspect
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from eegscrub import (
     NoiseSpec,
@@ -196,6 +195,27 @@ class TestSsaCca:
                         channel_names=("only",))
         with pytest.raises(TooShortError):
             remove_muscle_ssa_cca(rec)
+
+    def test_all_zero_recording_returned_unchanged(self):
+        zero = Signal(samples=np.zeros(2048), fs=FS)
+        rec = Recording(channels=(zero,) * 4,
+                        channel_names=("TP9", "AF7", "AF8", "TP10"))
+        out, report = remove_muscle_ssa_cca(rec)
+        assert out is rec
+        assert report.method_id == "ssa_cca"
+        assert report.components_removed == ()
+        assert report.decisions == {}
+        assert report.params["top_k"] == "4"
+        assert report.input_len == 2048
+
+    def test_every_source_zeroed_leaves_component_means(self):
+        _, mixed_rec = self.four_channel(0)
+        out, report = remove_muscle_ssa_cca(mixed_rec, autocorr_thresh=2.0)
+        assert report.components_removed == tuple(range(16))
+        for ch, clean in zip(mixed_rec.channels, out.channels):
+            model = ssa_decompose(ch)
+            mean = sum(model.component(i).mean() for i in range(4))
+            assert np.allclose(clean.samples, mean, rtol=0, atol=1e-12)
 
     def test_report_names_correlations_and_autocorrelations(self):
         _, mixed_rec = self.four_channel(0)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eegscrub
-from eegscrub import InvalidSpecError, Signal, TooShortError, rng_stream
+from eegscrub import (
+    InvalidSpecError,
+    NumericDegeneracyError,
+    Signal,
+    TooShortError,
+    rng_stream,
+)
 from eegscrub.decompose import default_window, ssa_decompose, ssa_reconstruct
 from eegscrub.decompose.ssa import _lag_cov, _row_blocks
 
@@ -101,7 +108,7 @@ class TestAgainstTrajectorySvd:
         assert model.n_components == len(ref)
         assert np.allclose(model.singular_values, s, rtol=0, atol=1e-9 * s[0])
         for i, comp in enumerate(ref):
-            assert np.max(np.abs(model.component(i).samples - comp)) < 1e-9
+            assert np.max(np.abs(model.component(i) - comp)) < 1e-9
 
     def test_two_tone_group_agrees(self):
         # two tones have SSA rank 4; each sine pair is nearly degenerate, so
@@ -127,6 +134,24 @@ class TestAgainstTrajectorySvd:
         model = ssa_decompose(Signal(samples=np.zeros(64), fs=256.0))
         assert model.n_components == 0
         assert np.array_equal(ssa_reconstruct(model, []).samples, np.zeros(64))
+
+
+class TestAmplitudeRange:
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_but_representable_amplitudes_reconstruct(self, scale):
+        x = scale * rng_stream(4, "ssa-range").normal(size=512)
+        model = ssa_decompose(Signal(samples=x, fs=256.0), window_len=32)
+        back = ssa_reconstruct(model, range(model.n_components))
+        assert model.n_components == 32
+        assert np.max(np.abs(back.samples - x)) < 1e-8 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_lag_covariance_out_of_range_raises(self, scale):
+        x = scale * rng_stream(4, "ssa-range").normal(size=512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(NumericDegeneracyError, match="float range"):
+                ssa_decompose(Signal(samples=x, fs=256.0), window_len=32)
 
 
 @settings(max_examples=150, deadline=None)
