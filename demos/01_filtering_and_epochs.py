@@ -52,11 +52,11 @@ def main():
     print(f"\nsegmenting {len(cleaned) / FS:g} s into 2 s epochs at 50% overlap:")
     print(f"  {len(epochs)} epochs, each {len(epochs[0])} samples")
 
-    z, _ = normalize(cleaned, mode="zscore")
-    mm, _ = normalize(cleaned, mode="minmax")
+    z, _ = normalize(cleaned.samples, mode="zscore")
+    mm, _ = normalize(cleaned.samples, mode="minmax")
     print("\nnormalization of the notched channel:")
-    print(f"  zscore: mean {np.mean(z.samples):+.2e}, std {np.std(z.samples):.6f}")
-    print(f"  minmax: range [{np.min(mm.samples):g}, {np.max(mm.samples):g}]")
+    print(f"  zscore: mean {np.mean(z):+.2e}, std {np.std(z):.6f}")
+    print(f"  minmax: range [{np.min(mm):g}, {np.max(mm):g}]")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 from . import bench, decompose
 from .core import (
-    DEFAULT_EEG_BAND,
     FilterSpec,
     NormStats,
     Recording,

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
-from .errors import InvalidSpecError, TooShortError
+from .errors import DegenerateInputError, InvalidSpecError, TooShortError
 
 FILTER_KINDS = ("bandpass", "lowpass", "highpass", "notch")
 
@@ -19,6 +19,18 @@ FILTER_KINDS = ("bandpass", "lowpass", "highpass", "notch")
 def _freeze(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
+    return arr
+
+
+def samples_1d(values) -> np.ndarray:
+    """``values`` as a valid sample buffer: a nonempty 1-D float64 array of
+    finite numbers, the same array when it already is one (never a copy)."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("samples must be a nonempty 1-D array, "
+                         f"got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DegenerateInputError("samples must all be finite")
     return arr
 
 
@@ -30,11 +42,7 @@ class Signal:
     fs: float
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64).reshape(-1)
-        if arr.size == 0:
-            raise ValueError("signal must contain at least one sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("signal samples must all be finite")
+        arr = samples_1d(self.samples)
         fs = float(self.fs)
         if not fs > 0:
             raise ValueError(f"sampling rate must be positive, got {fs}")
@@ -143,9 +151,6 @@ class FilterSpec:
             raise InvalidSpecError(f"bandpass needs low < high, got {self.edges}")
 
 
-DEFAULT_EEG_BAND = FilterSpec("bandpass", (0.5, 45.0), order=4)
-
-
 def apply_filter(signal: Signal, spec: FilterSpec) -> Signal:
     """Zero-phase (forward-backward) filtering; length and rate preserved."""
     spec.validate_for(signal.fs)
@@ -224,20 +229,11 @@ def _norm_stats(cols: np.ndarray, mode: str) -> NormStats:
 
 
 def normalize(data, mode: str = "zscore", stats: NormStats | None = None):
-    """Column-wise z-score or min-max scaling.
+    """Column-wise z-score or min-max scaling of a 1-D or 2-D array.
 
-    Accepts a Signal, a 1-D/2-D array, or any object with a ``rows`` array
-    attribute (feature matrices); returns the same kind plus the stats used.
-    Pass precomputed ``stats`` to apply a training-set normalization to new
-    data instead of refitting.
+    Returns the scaled array and the stats used. Pass precomputed ``stats``
+    to apply a training-set normalization to new data instead of refitting.
     """
-    if isinstance(data, Signal):
-        normed, stats = normalize(data.samples, mode, stats)
-        return data.with_samples(normed), stats
-    if hasattr(data, "rows"):
-        normed, stats = normalize(np.asarray(data.rows), mode, stats)
-        return replace(data, rows=normed), stats
-
     arr = np.asarray(data, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot normalize empty data")
@@ -250,12 +246,8 @@ def normalize(data, mode: str = "zscore", stats: NormStats | None = None):
     return normed.reshape(arr.shape), stats
 
 
-def denormalize(data, stats: NormStats):
+def denormalize(data, stats: NormStats) -> np.ndarray:
     """Invert :func:`normalize` with the stats it returned."""
-    if isinstance(data, Signal):
-        return data.with_samples(denormalize(data.samples, stats))
-    if hasattr(data, "rows"):
-        return replace(data, rows=denormalize(np.asarray(data.rows), stats))
     arr = np.asarray(data, dtype=np.float64)
     cols = arr.reshape(-1, 1) if arr.ndim == 1 else arr
     return (cols * stats.scale + stats.loc).reshape(arr.shape)
@@ -269,14 +261,14 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float | None:
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
 
-def moving_average(signal: Signal, width: int) -> Signal:
-    """Centered moving average with symmetric edge padding."""
+def moving_average(x: np.ndarray, width: int) -> np.ndarray:
+    """Centered moving average of 1-D samples with symmetric edge padding."""
+    x = samples_1d(x)
     width = int(width)
     if width < 1 or width % 2 == 0:
         raise ValueError(f"width must be an odd positive integer, got {width}")
-    if width > len(signal):
-        raise ValueError(f"width {width} exceeds signal length {len(signal)}")
-    half = width // 2
-    padded = np.pad(signal.samples, half, mode="symmetric")
+    if width > len(x):
+        raise ValueError(f"width {width} exceeds signal length {len(x)}")
+    padded = np.pad(x, width // 2, mode="symmetric")
     kernel = np.full(width, 1.0 / width)
-    return signal.with_samples(np.convolve(padded, kernel, mode="valid"))
+    return np.convolve(padded, kernel, mode="valid")

@@ -1,9 +1,11 @@
 """Empirical mode decomposition.
 
+Takes 1-D float samples and returns arrays; the input is never modified.
 Sifting with natural cubic spline envelopes through the extrema, mirror
 extension of two extrema at each boundary, and the Cauchy SD stopping
-criterion. The residual is computed as input minus the sum of the IMFs, so
-the completeness identity holds to machine precision by construction.
+criterion. The residual is computed as input minus the sum of the IMFs,
+added in order, so the completeness identity holds to machine precision by
+construction.
 
 An extremum sits where consecutive nonzero slopes ``x[i + 1] - x[i]`` and
 ``x[j + 1] - x[j]`` change sign, at ``(i + 1 + j) // 2``: the turning sample, or
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ..core import Signal
+from ..core import samples_1d
 from ..errors import TooShortError
 
 MAX_SIFTS = 50
@@ -25,13 +27,11 @@ DEFAULT_SIFT_TOL = 0.2
 
 @dataclass(frozen=True)
 class ImfSet:
-    """Intrinsic mode functions (highest frequency first) plus the residual."""
+    """Intrinsic mode functions (highest frequency first) plus the residual,
+    each an array of the input's length."""
 
     imfs: tuple
-    residual: Signal
-
-    def __post_init__(self):
-        object.__setattr__(self, "imfs", tuple(self.imfs))
+    residual: np.ndarray
 
 
 def find_extrema(x: np.ndarray):
@@ -79,25 +79,21 @@ def _sift(residual: np.ndarray, sift_tol: float) -> np.ndarray | None:
     return h
 
 
-def emd(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS,
+def emd(x: np.ndarray, max_imfs: int = DEFAULT_MAX_IMFS,
         sift_tol: float = DEFAULT_SIFT_TOL) -> ImfSet:
-    """Decompose into IMFs. Monotone input yields zero IMFs, residual = input."""
-    if len(signal) < 8:
-        raise TooShortError(
-            f"need at least 8 samples for EMD, got {len(signal)}"
-        )
-    x = signal.samples
+    """Decompose into IMFs. Monotone input yields zero IMFs and a residual
+    equal to the input; the residual is always a new array."""
+    x = samples_1d(x)
+    if len(x) < 8:
+        raise TooShortError(f"need at least 8 samples for EMD, got {len(x)}")
     imfs = []
-    residual = x.copy()
+    residual = x
     while len(imfs) < max_imfs:
         imf = _sift(residual, sift_tol)
         if imf is None:
             break
         imfs.append(imf)
         residual = residual - imf
-    # pin completeness exactly: residual := x - sum(IMFs)
-    residual = x - np.sum(imfs, axis=0) if imfs else x.copy()
-    return ImfSet(
-        imfs=tuple(signal.with_samples(m) for m in imfs),
-        residual=signal.with_samples(residual),
-    )
+    # pin completeness exactly: residual := x - (IMF 0 + IMF 1 + ...)
+    summed = sum(imfs[1:], imfs[0]) if imfs else np.zeros_like(x)
+    return ImfSet(imfs=tuple(imfs), residual=x - summed)

@@ -1,5 +1,9 @@
 """Singular spectrum analysis by eigendecomposition of the lag covariance.
 
+Takes 1-D float samples and returns arrays; the input is never modified. A
+model keeps a reference to its input, not a copy, and builds components from
+it on request, so the input must not change while the model is in use.
+
 The L x L lag covariance C = X X^T of the L x K trajectory matrix X has X's
 left singular vectors as eigenvectors and the squared singular values as
 eigenvalues (basic SSA; Golyandina & Zhigljavsky, 2013). C is formed in
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..core import Signal
+from ..core import samples_1d
 from ..errors import InvalidSpecError, NumericDegeneracyError, TooShortError
 
 # eigenvalues of C below this fraction of the largest are within 1e4 times
@@ -40,9 +44,11 @@ class SsaModel:
     window_len: int
     singular_values: np.ndarray
     eigenvectors: np.ndarray  # L x n_components, column i belongs to s_i
-    samples: np.ndarray
-    n_samples: int
-    fs: float
+    samples: np.ndarray  # the input itself, not a copy
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.samples)
 
     @property
     def n_components(self) -> int:
@@ -85,13 +91,13 @@ def _lag_cov(x: np.ndarray, length: int) -> np.ndarray:
     return upper + np.triu(upper, 1).T
 
 
-def ssa_decompose(signal: Signal, window_len: int | None = None) -> SsaModel:
-    """Decompose a signal; components are built by ``SsaModel.component``.
+def ssa_decompose(x: np.ndarray, window_len: int | None = None) -> SsaModel:
+    """Decompose 1-D samples; components are built by ``SsaModel.component``.
 
     A nonzero signal whose lag covariance overflows or underflows (max |x|
     above about 1e153 or below about 1e-162) raises NumericDegeneracyError.
     """
-    x = signal.samples
+    x = samples_1d(x)
     n = len(x)
     if window_len is None:
         if n < 4:
@@ -123,18 +129,15 @@ def ssa_decompose(signal: Signal, window_len: int | None = None) -> SsaModel:
         singular_values=np.sqrt(eigvals[keep]),
         eigenvectors=eigvecs[:, keep],
         samples=x,
-        n_samples=n,
-        fs=signal.fs,
     )
 
 
-def ssa_reconstruct(model: SsaModel, group) -> Signal:
+def ssa_reconstruct(model: SsaModel, group) -> np.ndarray:
     """Sum the elementary components selected by index."""
     indices = sorted(set(int(i) for i in group))
     if indices and (indices[0] < 0 or indices[-1] >= model.n_components):
         raise ValueError(
             f"component index out of range 0..{model.n_components - 1}: {indices}"
         )
-    total = sum((model.component(i) for i in indices),
-                np.zeros(model.n_samples))
-    return Signal(samples=total, fs=model.fs)
+    return sum((model.component(i) for i in indices),
+               np.zeros(model.n_samples))

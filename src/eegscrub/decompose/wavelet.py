@@ -1,5 +1,6 @@
 """Daubechies-4 discrete wavelet transform with symmetric extension.
 
+Takes 1-D float samples and returns arrays; the input is never modified.
 The analysis step extends the signal by ``len(filter) - 1`` samples on each
 side (half-sample symmetric reflection) and keeps every correlation window
 that lies fully inside the extension. That slight redundancy (each band holds
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Signal
+from ..core import samples_1d
 from ..errors import InvalidLevelsError
 
 # orthonormal db4 scaling filter (sum = sqrt(2), unit energy)
@@ -38,13 +39,6 @@ class WaveletDecomposition:
     details: tuple
     levels: int
     original_length: int
-    fs: float
-    wavelet_id: str = "db4"
-
-    def __post_init__(self):
-        object.__setattr__(self, "details", tuple(np.asarray(d, dtype=np.float64)
-                                                  for d in self.details))
-        object.__setattr__(self, "approx", np.asarray(self.approx, dtype=np.float64))
 
 
 def _coeff_len(n: int) -> int:
@@ -75,11 +69,11 @@ def _synthesize(approx: np.ndarray, detail: np.ndarray, out_len: int) -> np.ndar
     return y[FILT_LEN - 2 : FILT_LEN - 2 + out_len]
 
 
-def dwt_forward(signal: Signal, levels: int) -> WaveletDecomposition:
+def dwt_forward(x: np.ndarray, levels: int) -> WaveletDecomposition:
     """Decompose into ``levels`` detail bands plus a coarse approximation."""
+    x = samples_1d(x)
     if levels < 1:
         raise InvalidLevelsError(f"levels must be >= 1, got {levels}")
-    x = signal.samples
     details = []
     approx = x
     for lv in range(levels):
@@ -95,14 +89,13 @@ def dwt_forward(signal: Signal, levels: int) -> WaveletDecomposition:
         details=tuple(details),
         levels=levels,
         original_length=len(x),
-        fs=signal.fs,
     )
 
 
-def dwt_inverse(dec: WaveletDecomposition) -> Signal:
+def dwt_inverse(dec: WaveletDecomposition) -> np.ndarray:
     """Exact inverse of :func:`dwt_forward` (untouched coefficients)."""
     lengths = band_lengths(dec.original_length, dec.levels)
     approx = dec.approx
     for level in range(dec.levels - 1, -1, -1):
         approx = _synthesize(approx, dec.details[level], lengths[level])
-    return Signal(approx, dec.fs)
+    return approx

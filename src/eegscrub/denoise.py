@@ -73,7 +73,7 @@ def denoise_dwt(signal: Signal, levels: int = 3, mode: str = "soft") -> tuple:
     """
     if mode not in ("soft", "hard"):
         raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
-    dec = dwt_forward(signal, levels)
+    dec = dwt_forward(signal.samples, levels)
     # noise scale from the finest detail band, threshold shared by all bands
     sigma = np.median(np.abs(dec.details[0])) / 0.6745
     threshold = sigma * np.sqrt(2.0 * np.log(len(signal)))
@@ -90,7 +90,7 @@ def denoise_dwt(signal: Signal, levels: int = 3, mode: str = "soft") -> tuple:
                 "threshold": f"{threshold:.6g}"},
         input_len=len(signal),
     )
-    return cleaned, report
+    return signal.with_samples(cleaned), report
 
 
 def denoise_emd_maf(signal: Signal, ma_width: int = 5) -> tuple:
@@ -100,15 +100,15 @@ def denoise_emd_maf(signal: Signal, ma_width: int = 5) -> tuple:
     sits above 30 Hz; a single coherent low tone sharing the mode (boundary
     mixing) must not shield an EMG-dominated IMF from smoothing.
     """
-    imf_set = emd(signal)
-    total = imf_set.residual.samples.copy()
+    imf_set = emd(signal.samples)
+    total = imf_set.residual  # a new array, so the sum can build on it
     smoothed = []
     for i, imf in enumerate(imf_set.imfs):
-        if _energy_fraction_above(imf.samples, signal.fs, 30.0) > 0.5:
-            total += moving_average(imf, ma_width).samples
+        if _energy_fraction_above(imf, signal.fs, 30.0) > 0.5:
+            total += moving_average(imf, ma_width)
             smoothed.append(i)
         else:
-            total += imf.samples
+            total += imf
     report = DenoiseReport(
         method_id="emd_maf",
         params={"ma_width": str(ma_width)},
@@ -123,7 +123,7 @@ def remove_motion_ssa(
 ) -> tuple:
     """Subtract large, slow SSA components (the motion-artifact signature);
     only those above ``var_thresh`` of the singular-value mass are built."""
-    model = ssa_decompose(signal, window_len)
+    model = ssa_decompose(signal.samples, window_len)
     # linear singular-value mass: a drift spread over a few medium components
     # must still clear the threshold
     mass = model.singular_values / model.singular_values.sum()
@@ -171,7 +171,7 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
     params = {"autocorr_thresh": str(autocorr_thresh), "top_k": str(top_k)}
     comps, owner = [], []  # owner: the channel index of each component
     for c, ch in enumerate(rec.channels):
-        model = ssa_decompose(ch)
+        model = ssa_decompose(ch.samples)
         for i in range(min(top_k, model.n_components)):
             comps.append(model.component(i))
             owner.append(c)
@@ -273,9 +273,10 @@ def cascade_lms(
         delta = 1e-3 * taps * float(np.var(x)) or np.finfo(float).tiny
         w = np.zeros(taps)
         out = np.empty(n)
-        # row t is the window at sample t, newest sample first
-        windows = np.ascontiguousarray(sliding_window_view(
-            np.concatenate([np.zeros(taps - 1), x]), taps)[:, ::-1])
+        # row t is the window at sample t, newest sample first: a view whose
+        # rows are contiguous, as the dot products were fixed on
+        windows = sliding_window_view(
+            np.concatenate([x[::-1], np.zeros(taps - 1)]), taps)[::-1]
         stage_in_energy = float(current @ current)
         # a diverging weight vector overflows before the check below fires
         with np.errstate(over="ignore", invalid="ignore"):

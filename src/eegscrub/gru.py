@@ -133,10 +133,6 @@ class ConfusionMatrix:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "class_names", names)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(np.minimum(x, -x))  # -|x|, keeping a NaN's sign bit

@@ -12,7 +12,14 @@ from eegscrub import (
     rng_stream,
     segment_epochs,
 )
-from eegscrub.errors import InvalidSpecError, TooShortError
+from eegscrub.decompose import (
+    dwt_forward,
+    dwt_inverse,
+    emd,
+    ssa_decompose,
+    ssa_reconstruct,
+)
+from eegscrub.errors import DegenerateInputError, InvalidSpecError, TooShortError
 
 
 def sine(freq, n=1024, fs=256.0, amp=1.0):
@@ -47,6 +54,11 @@ class TestSignal:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Signal(samples=np.array([1.0, np.nan]), fs=1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_typed(self, value):
+        with pytest.raises(DegenerateInputError):
+            Signal([value], 256.0)
 
     def test_immutable(self):
         s = Signal(samples=np.zeros(4), fs=1.0)
@@ -178,20 +190,66 @@ class TestNormalize:
 
 class TestMovingAverage:
     def test_constant_invariant(self):
-        s = Signal(samples=np.ones(4), fs=1.0)
-        assert np.allclose(moving_average(s, 3).samples, 1.0)
+        s = np.ones(4)
+        assert np.allclose(moving_average(s, 3), 1.0)
 
     def test_symmetric_padding_hand_case(self):
-        s = Signal(samples=np.array([0.0, 3.0, 0.0]), fs=1.0)
-        assert np.allclose(moving_average(s, 3).samples, [1.0, 1.0, 1.0])
+        s = np.array([0.0, 3.0, 0.0])
+        assert np.allclose(moving_average(s, 3), [1.0, 1.0, 1.0])
 
     def test_impulse_response(self):
         x = np.zeros(9)
         x[4] = 1.0
-        out = moving_average(Signal(samples=x, fs=1.0), 3).samples
+        out = moving_average(x, 3)
         assert np.allclose(out[3:6], 1.0 / 3.0)
         assert np.allclose(out[:3], 0.0) and np.allclose(out[6:], 0.0)
 
     def test_even_width_rejected(self):
         with pytest.raises(ValueError):
-            moving_average(sine(5, n=16), 4)
+            moving_average(sine(5, n=16).samples, 4)
+
+
+def _emd_outputs(x):
+    result = emd(x)
+    return [*result.imfs, result.residual]
+
+
+def _ssa_outputs(x):
+    model = ssa_decompose(x, window_len=32)
+    return [ssa_reconstruct(model, range(model.n_components)),
+            ssa_reconstruct(model, [0])]
+
+
+# each array engine with every full-length array it returns for x
+ENGINES = {
+    "emd": _emd_outputs,
+    "dwt": lambda x: [dwt_inverse(dwt_forward(x, 2))],
+    "ssa": _ssa_outputs,
+    "moving_average": lambda x: [moving_average(x, 5)],
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestArrayEngineContract:
+    @pytest.mark.parametrize("shape", [(2, 300), (300, 1), (0,)])
+    def test_rejects_non_1d_or_empty(self, engine, shape):
+        with pytest.raises(ValueError):
+            ENGINES[engine](np.ones(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_typed(self, engine, value):
+        x = rng_stream(0, "engine-contract").normal(size=300)
+        x[123] = value
+        with pytest.raises(DegenerateInputError):
+            ENGINES[engine](x)
+
+    def test_input_unchanged_and_outputs_full_length(self, engine):
+        x = rng_stream(1, "engine-contract").normal(size=300)
+        before = x.tobytes()
+        outputs = ENGINES[engine](x)
+        assert x.tobytes() == before
+        assert outputs
+        for out in outputs:
+            assert isinstance(out, np.ndarray)
+            assert out.shape == x.shape
+            assert not np.shares_memory(out, x)

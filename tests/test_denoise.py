@@ -1,8 +1,12 @@
 import inspect
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eegscrub
 from eegscrub import (
     NoiseSpec,
     Recording,
@@ -132,10 +136,10 @@ class TestSsaMotion:
     def test_output_is_input_minus_removed_components(self):
         _, mixed = self.drifted(0)
         out, report = remove_motion_ssa(mixed)
-        model = ssa_decompose(mixed)
+        model = ssa_decompose(mixed.samples)
         removed = list(report.components_removed)
         assert removed
-        expected = mixed.samples - ssa_reconstruct(model, removed).samples
+        expected = mixed.samples - ssa_reconstruct(model, removed)
         scale = np.max(np.abs(mixed.samples))
         assert np.max(np.abs(out.samples - expected)) < 1e-12 * scale
         mass = model.singular_values / model.singular_values.sum()
@@ -213,7 +217,7 @@ class TestSsaCca:
         out, report = remove_muscle_ssa_cca(mixed_rec, autocorr_thresh=2.0)
         assert report.components_removed == tuple(range(16))
         for ch, clean in zip(mixed_rec.channels, out.channels):
-            model = ssa_decompose(ch)
+            model = ssa_decompose(ch.samples)
             mean = sum(model.component(i).mean() for i in range(4))
             assert np.allclose(clean.samples, mean, rtol=0, atol=1e-12)
 
@@ -349,6 +353,41 @@ class TestCascadeLms:
         _, idle = cascade_lms(mixed, [mixed.with_samples(np.zeros(len(mixed)))])
         assert idle.decisions == {"energy_reduction_db": [0.0],
                                   "max_abs_weight": [0.0]}
+
+
+_LMS_PEAK_RSS_SCRIPT = """
+import resource
+import numpy as np
+from eegscrub import Signal, cascade_lms, rng_stream
+
+def peak_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+def pair(n, seed):
+    rng = rng_stream(seed, "lms-rss")
+    t = np.arange(n) / 256.0
+    ref = rng.normal(size=n)
+    return (Signal(np.sin(2 * np.pi * 10.0 * t) + 0.5 * ref, 256.0),
+            Signal(ref, 256.0))
+
+primary, ref = pair(2048, 0)
+cascade_lms(primary, [ref])  # BLAS buffers on first use
+primary, ref = pair(153_600, 1)
+before = peak_mib()
+cascade_lms(primary, [ref])
+print(peak_mib() - before)
+"""
+
+
+def test_ten_minute_cascade_lms_stays_small():
+    # ten minutes of one channel and one reference at 256 Hz: each signal is
+    # 1.2 MiB, and a copied window array of N x 16 taps would be 19 MiB
+    src = os.path.dirname(os.path.dirname(eegscrub.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _LMS_PEAK_RSS_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert float(done.stdout) < 8.0
 
 
 class TestBlinkTemplate:

@@ -12,7 +12,6 @@ import eegscrub
 from eegscrub import (
     InvalidSpecError,
     NumericDegeneracyError,
-    Signal,
     TooShortError,
     rng_stream,
 )
@@ -22,16 +21,16 @@ from eegscrub.decompose.ssa import _lag_cov, _row_blocks
 
 def sine(freq, n=1024, fs=256.0):
     t = np.arange(n) / fs
-    return Signal(samples=np.sin(2 * np.pi * freq * t), fs=fs)
+    return np.sin(2 * np.pi * freq * t)
 
 
 class TestDecompose:
     def test_constant_is_rank_one(self):
-        x = Signal(samples=np.full(200, 7.0), fs=256.0)
+        x = np.full(200, 7.0)
         model = ssa_decompose(x, window_len=10)
         assert model.n_components == 1
         back = ssa_reconstruct(model, [0])
-        assert np.allclose(back.samples, 7.0, atol=1e-10)
+        assert np.allclose(back, 7.0, atol=1e-10)
 
     def test_sine_is_rank_two(self):
         model = ssa_decompose(sine(10.0), window_len=32)
@@ -40,26 +39,26 @@ class TestDecompose:
 
     def test_singular_values_nonincreasing(self):
         rng = rng_stream(0, "ssa-order")
-        x = Signal(samples=rng.normal(size=300), fs=256.0)
+        x = rng.normal(size=300)
         model = ssa_decompose(x, window_len=40)
         assert np.all(np.diff(model.singular_values) <= 1e-12)
 
     def test_full_reconstruction(self):
         rng = rng_stream(1, "ssa-complete")
-        x = Signal(samples=rng.normal(size=400), fs=256.0)
+        x = rng.normal(size=400)
         model = ssa_decompose(x, window_len=50)
         back = ssa_reconstruct(model, range(model.n_components))
-        scale = np.max(np.abs(x.samples))
-        assert np.max(np.abs(back.samples - x.samples)) < 1e-8 * scale
+        scale = np.max(np.abs(x))
+        assert np.max(np.abs(back - x)) < 1e-8 * scale
 
     def test_noisy_sine_recovery(self):
         clean = sine(10.0)
         noise = rng_stream(2, "ssa-noise").normal(size=len(clean))
-        noise *= np.sqrt(np.mean(clean.samples**2) / 10.0 / np.mean(noise**2))
-        x = Signal(samples=clean.samples + noise, fs=256.0)
+        noise *= np.sqrt(np.mean(clean**2) / 10.0 / np.mean(noise**2))
+        x = clean + noise
         model = ssa_decompose(x, window_len=32)
         back = ssa_reconstruct(model, [0, 1])
-        r = np.corrcoef(back.samples, clean.samples)[0, 1]
+        r = np.corrcoef(back, clean)[0, 1]
         assert r >= 0.95
 
     def test_window_validation(self):
@@ -75,9 +74,8 @@ class TestDecompose:
             ssa_decompose(x, window_len=51)
         with pytest.raises(TooShortError,
                            match="SSA needs at least 4 samples, got 3"):
-            ssa_decompose(Signal(samples=np.ones(3), fs=256.0))
-        assert ssa_decompose(Signal(samples=np.arange(4.0), fs=256.0)
-                             ).window_len == 2
+            ssa_decompose(np.ones(3))
+        assert ssa_decompose(np.arange(4.0)).window_len == 2
 
     def test_default_window(self):
         assert default_window(100) == 50
@@ -102,7 +100,7 @@ class TestAgainstTrajectorySvd:
     @pytest.mark.parametrize("seed", range(5))
     def test_distinct_singular_values_agree_per_component(self, seed):
         x = rng_stream(seed, "ssa-vs-svd").normal(size=300)
-        model = ssa_decompose(Signal(samples=x, fs=256.0), window_len=40)
+        model = ssa_decompose(x, window_len=40)
         s, ref = trajectory_svd_components(x, 40)
         assert np.min(-np.diff(s)) > 1e-6 * s[0]  # no degenerate pair
         assert model.n_components == len(ref)
@@ -115,35 +113,35 @@ class TestAgainstTrajectorySvd:
         # single components may rotate within it but the group sum may not
         t = np.arange(2048) / 256.0
         x = np.sin(2 * np.pi * 6.0 * t + 0.4) + 0.6 * np.sin(2 * np.pi * 11.0 * t)
-        model = ssa_decompose(Signal(samples=x, fs=256.0))
+        model = ssa_decompose(x)
         _, ref = trajectory_svd_components(x, model.window_len)
         assert model.n_components == 4
         back = ssa_reconstruct(model, range(4))
-        assert np.max(np.abs(back.samples - sum(ref[:4]))) < 1e-9
+        assert np.max(np.abs(back - sum(ref[:4]))) < 1e-9
 
     def test_small_fluctuation_on_large_offset_kept(self):
         # the fluctuation's eigenvalues sit under the rounding noise of the
         # lag covariance; measured on the signal they still count
         x = 1000.0 + 1e-4 * rng_stream(3, "ssa-offset").normal(size=1024)
-        model = ssa_decompose(Signal(samples=x, fs=256.0), window_len=64)
+        model = ssa_decompose(x, window_len=64)
         assert model.n_components == 64
         back = ssa_reconstruct(model, range(model.n_components))
-        assert np.max(np.abs(back.samples - x)) < 1e-8 * 1000.0
+        assert np.max(np.abs(back - x)) < 1e-8 * 1000.0
 
     def test_all_zero_signal_has_no_components(self):
-        model = ssa_decompose(Signal(samples=np.zeros(64), fs=256.0))
+        model = ssa_decompose(np.zeros(64))
         assert model.n_components == 0
-        assert np.array_equal(ssa_reconstruct(model, []).samples, np.zeros(64))
+        assert np.array_equal(ssa_reconstruct(model, []), np.zeros(64))
 
 
 class TestAmplitudeRange:
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_extreme_but_representable_amplitudes_reconstruct(self, scale):
         x = scale * rng_stream(4, "ssa-range").normal(size=512)
-        model = ssa_decompose(Signal(samples=x, fs=256.0), window_len=32)
+        model = ssa_decompose(x, window_len=32)
         back = ssa_reconstruct(model, range(model.n_components))
         assert model.n_components == 32
-        assert np.max(np.abs(back.samples - x)) < 1e-8 * np.max(np.abs(x))
+        assert np.max(np.abs(back - x)) < 1e-8 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_lag_covariance_out_of_range_raises(self, scale):
@@ -151,7 +149,7 @@ class TestAmplitudeRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on the way
             with pytest.raises(NumericDegeneracyError, match="float range"):
-                ssa_decompose(Signal(samples=x, fs=256.0), window_len=32)
+                ssa_decompose(x, window_len=32)
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,14 +178,13 @@ def test_lag_cov_matches_blocked_sum(n, window_frac, kind, seed):
 _PEAK_RSS_SCRIPT = """
 import resource
 import numpy as np
-from eegscrub import Signal
 from eegscrub.decompose import ssa_decompose, ssa_reconstruct
 
 def peak_mib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 def top_four(samples):
-    model = ssa_decompose(Signal(samples=samples, fs=256.0))
+    model = ssa_decompose(samples)
     return [ssa_reconstruct(model, [i]) for i in range(4)]
 
 top_four(np.arange(2048.0) % 7)  # BLAS buffers are allocated on first use
