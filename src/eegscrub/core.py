@@ -213,6 +213,12 @@ class NormStats:
         object.__setattr__(self, "loc", _freeze(self.loc))
         object.__setattr__(self, "scale", _freeze(self.scale))
 
+    def apply_in_place(self, cols: np.ndarray) -> np.ndarray:
+        """Scale ``cols`` column-wise in place, (cols - loc) / scale."""
+        cols -= self.loc
+        cols /= self.scale
+        return cols
+
 
 def _norm_stats(cols: np.ndarray, mode: str) -> NormStats:
     if mode == "zscore":
@@ -242,7 +248,7 @@ def normalize(data, mode: str = "zscore", stats: NormStats | None = None):
         stats = _norm_stats(cols, mode)
     elif stats.mode != mode:
         raise ValueError(f"stats were computed for mode {stats.mode!r}, not {mode!r}")
-    normed = (cols - stats.loc) / stats.scale
+    normed = stats.apply_in_place(cols.copy())
     return normed.reshape(arr.shape), stats
 
 

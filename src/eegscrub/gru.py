@@ -97,9 +97,12 @@ class GruModel:
     norm: NormStats | None = None
 
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        seqs = reshape_to_sequences(_normalized(rows, self.norm), self.config)
-        _, probs, _ = _forward_batch(self, seqs)
-        return probs
+        rows = _checked_rows(rows, self.norm)
+        seqs = reshape_to_sequences(rows, self.config)
+        if self.norm is not None:  # scaled inside the one padded copy
+            self.norm.apply_in_place(
+                seqs.reshape(len(rows), -1)[:, : rows.shape[1]])
+        return _forward_batch(self, seqs)[1]
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,10 @@ class LinearModel:
     norm: NormStats | None = None
 
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        return _softmax(_normalized(rows, self.norm) @ self.w.T + self.b)
+        x = _checked_rows(rows, self.norm)
+        if self.norm is not None:
+            x = normalize(x, self.norm.mode, self.norm)[0]
+        return _linear_probs(self, x)
 
 
 @dataclass(frozen=True)
@@ -159,9 +165,15 @@ def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> tuple:
     return loss, dlogits
 
 
-def _normalized(rows, norm: NormStats | None) -> np.ndarray:
+def _checked_rows(rows, norm: NormStats | None) -> np.ndarray:
+    """Rows as a 2-D float array, as wide as the model's normalization."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return rows if norm is None else normalize(rows, norm.mode, norm)[0]
+    if norm is not None and rows.shape[1] != len(norm.loc):
+        raise DataFormatError(
+            f"the table has {rows.shape[1]} features, but the model was "
+            f"trained on {len(norm.loc)}"
+        )
+    return rows
 
 
 def reshape_to_sequences(rows: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -199,8 +211,9 @@ def init_gru(config: ModelConfig) -> GruModel:
                     b_out=np.zeros(c))
 
 
-def _forward_batch(model: GruModel, seqs: np.ndarray):
-    """Returns (hidden sequence B x T x H, probabilities B x C, caches)."""
+def _forward_batch(model: GruModel, seqs: np.ndarray, keep: bool = False):
+    """Returns (hidden sequence B x T x H, probabilities B x C, gates): with
+    ``keep``, z, r and the candidate side by side (B x T x 3H), else None."""
     b, t_steps, f = seqs.shape
     if t_steps != model.config.seq_len or f != model.config.feat_dim:
         raise ValueError(
@@ -208,21 +221,24 @@ def _forward_batch(model: GruModel, seqs: np.ndarray):
             f"{(model.config.seq_len, model.config.feat_dim)}"
         )
     hidden = model.wz.shape[0]
+    w3 = np.concatenate((model.wz, model.wr, model.wh)).T
+    u2 = np.concatenate((model.uz, model.ur)).T
+    b2 = np.concatenate((model.bz, model.br))
     h = np.zeros((b, hidden))
     hs = np.empty((b, t_steps, hidden))
-    caches = []
+    gates = np.empty((b, t_steps, 3 * hidden)) if keep else None
     for t in range(t_steps):
-        xt = seqs[:, t, :]
-        z = _sigmoid(xt @ model.wz.T + h @ model.uz.T + model.bz)
-        r = _sigmoid(xt @ model.wr.T + h @ model.ur.T + model.br)
-        cand = np.tanh(xt @ model.wh.T + (r * h) @ model.uh.T + model.bh)
-        h_new = (1.0 - z) * h + z * cand
-        caches.append((xt, h, z, r, cand))
-        h = h_new
+        xw = seqs[:, t, :] @ w3
+        zr = _sigmoid(xw[:, : 2 * hidden] + h @ u2 + b2)
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        cand = np.tanh(xw[:, 2 * hidden :] + (r * h) @ model.uh.T + model.bh)
+        h = (1.0 - z) * h + z * cand
         hs[:, t, :] = h
-    flat = hs.reshape(b, t_steps * hidden)
-    probs = _softmax(flat @ model.w_out.T + model.b_out)
-    return hs, probs, (caches, flat)
+        if keep:
+            gates[:, t, : 2 * hidden] = zr
+            gates[:, t, 2 * hidden :] = cand
+    probs = _softmax(hs.reshape(b, -1) @ model.w_out.T + model.b_out)
+    return hs, probs, gates
 
 
 def forward(model: GruModel, seq: np.ndarray):
@@ -247,42 +263,38 @@ def loss_and_grad(model: GruModel, seqs: np.ndarray, labels: np.ndarray,
             f"labels must be in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    hs, probs, (caches, flat) = _forward_batch(model, seqs)
+    hs, probs, gates = _forward_batch(model, seqs, keep=True)
     loss, dlogits = _cross_entropy(probs, labels)
-    grads = {
-        "w_out": dlogits.T @ flat,
-        "b_out": dlogits.sum(axis=0),
-    }
-    for name in GATE_PARAM_NAMES:
-        grads[name] = np.zeros_like(getattr(model, name))
+    b, t_steps, hidden = hs.shape
+    h_prev = np.concatenate((np.zeros((b, 1, hidden)), hs[:, :-1]), axis=1)
+    z, r, cand = np.split(gates, 3, axis=2)
+    u2 = np.concatenate((model.uz, model.ur))
     dh_seq = (dlogits @ model.w_out).reshape(hs.shape)
+    dgates = np.empty_like(gates)
+    dz, dr, dcand = np.split(dgates, 3, axis=2)
+    dh_next = np.zeros((b, hidden))
+    for t in range(t_steps - 1, -1, -1):
+        dh = dh_seq[:, t] + dh_next
+        dz[:, t] = dh * (cand[:, t] - h_prev[:, t]) * z[:, t] * (1.0 - z[:, t])
+        dcand[:, t] = dh * z[:, t] * (1.0 - cand[:, t] ** 2)
+        drh = dcand[:, t] @ model.uh
+        dr[:, t] = drh * h_prev[:, t] * r[:, t] * (1.0 - r[:, t])
+        dh_next = (dh * (1.0 - z[:, t]) + drh * r[:, t]
+                   + dgates[:, t, : 2 * hidden] @ u2)
 
-    dh_next = np.zeros_like(hs[:, 0])
-    for t in range(model.config.seq_len - 1, -1, -1):
-        xt, h_prev, z, r, cand = caches[t]
-        dh = dh_seq[:, t, :] + dh_next
-        dz = dh * (cand - h_prev) * z * (1.0 - z)
-        dcand = dh * z * (1.0 - cand**2)
-        dh_prev = dh * (1.0 - z)
-
-        grads["wh"] += dcand.T @ xt
-        grads["uh"] += dcand.T @ (r * h_prev)
-        grads["bh"] += dcand.sum(axis=0)
-        drh = dcand @ model.uh
-        dr = drh * h_prev * r * (1.0 - r)
-        dh_prev += drh * r
-
-        grads["wz"] += dz.T @ xt
-        grads["uz"] += dz.T @ h_prev
-        grads["bz"] += dz.sum(axis=0)
-        dh_prev += dz @ model.uz
-
-        grads["wr"] += dr.T @ xt
-        grads["ur"] += dr.T @ h_prev
-        grads["br"] += dr.sum(axis=0)
-        dh_prev += dr @ model.ur
-
-        dh_next = dh_prev
+    # one product per weight kind over all B*T steps
+    dg = dgates.reshape(b * t_steps, 3 * hidden).T
+    dw = dg @ seqs.reshape(b * t_steps, -1)
+    du = dg[: 2 * hidden] @ h_prev.reshape(b * t_steps, hidden)
+    duh = dg[2 * hidden :] @ (r * h_prev).reshape(b * t_steps, hidden)
+    db = dg.sum(axis=1)
+    grads = {"w_out": dlogits.T @ hs.reshape(b, -1),
+             "b_out": dlogits.sum(axis=0)}
+    for i, gate in enumerate("zrh"):
+        part = slice(i * hidden, (i + 1) * hidden)
+        grads["w" + gate] = dw[part]
+        grads["u" + gate] = duh if gate == "h" else du[part]
+        grads["b" + gate] = db[part]
 
     if grad_clip is not None:
         norm = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
@@ -308,8 +320,10 @@ class _Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = tc.beta1 * self.m[name] + (1 - tc.beta1) * g
-            self.v[name] = tc.beta2 * self.v[name] + (1 - tc.beta2) * g**2
+            self.m[name] *= tc.beta1
+            self.m[name] += (1 - tc.beta1) * g
+            self.v[name] *= tc.beta2
+            self.v[name] += (1 - tc.beta2) * g**2
             m_hat = self.m[name] / (1 - tc.beta1**self.t)
             v_hat = self.v[name] / (1 - tc.beta2**self.t)
             out[name] = getattr(model, name) - tc.learning_rate * m_hat / (
@@ -367,20 +381,21 @@ def _check_classes(y: np.ndarray, n_classes: int):
         )
 
 
-def _epoch_stats(model, x: np.ndarray, y: np.ndarray) -> tuple:
-    probs = model.predict_proba(x)
+def _epoch_stats(probs: np.ndarray, y: np.ndarray) -> tuple:
     loss, _ = _cross_entropy(probs, y)
-    acc = float(np.mean(probs.argmax(axis=1) == y))
-    return loss, acc
+    return loss, float(np.mean(probs.argmax(axis=1) == y))
 
 
 def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
-         init_model, loss_fn, to_inputs=lambda x: x) -> tuple:
+         init_model, loss_fn, probs_fn, to_inputs=lambda x: x) -> tuple:
     """The shared Adam loop: split, normalize, shuffle, step, history.
 
     ``init_model(norm)`` builds the starting model around the training-set
     normalization; ``loss_fn(model, inputs, labels)`` returns the loss and a
-    gradient per parameter name; ``to_inputs`` shapes normalized rows.
+    gradient per parameter name; ``to_inputs`` shapes normalized rows, and
+    ``probs_fn(model, inputs)`` is the model's ``predict_proba`` after that
+    shaping. Both splits are normalized and shaped once, so each history row
+    equals ``predict_proba`` of that epoch's model over the full splits.
     """
     rows, y = _dataset_arrays(dataset)
     _check_classes(y, n_classes)
@@ -390,7 +405,9 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
     x_train, norm = normalize(rows[train_idx], "zscore")
     model = init_model(norm)
     inputs = to_inputs(x_train)
-    y_train = y[train_idx]
+    del x_train  # the shaped copy is all the loop reads
+    val_inputs = to_inputs(normalize(rows[val_idx], "zscore", norm)[0])
+    y_train, y_val = y[train_idx], y[val_idx]
     adam = _Adam(tc)
     history = []
     for epoch in range(tc.epochs):
@@ -401,8 +418,8 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
             batch = order[start : start + tc.batch_size]
             _, grads = loss_fn(model, inputs[batch], y_train[batch])
             model = replace(model, **adam.step(model, grads))
-        train_loss, train_acc = _epoch_stats(model, rows[train_idx], y_train)
-        val_loss, val_acc = _epoch_stats(model, rows[val_idx], y[val_idx])
+        train_loss, train_acc = _epoch_stats(probs_fn(model, inputs), y_train)
+        val_loss, val_acc = _epoch_stats(probs_fn(model, val_inputs), y_val)
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "train_acc": train_acc, "val_loss": val_loss,
                         "val_acc": val_acc})
@@ -419,11 +436,16 @@ def train(dataset: FeatureMatrix, mc: ModelConfig, tc: TrainConfig) -> tuple:
     return _fit(dataset, tc, mc.n_classes,
                 lambda norm: replace(init_gru(mc), norm=norm),
                 partial(loss_and_grad, grad_clip=tc.grad_clip),
+                lambda model, seqs: _forward_batch(model, seqs)[1],
                 lambda x: reshape_to_sequences(x, mc))
 
 
+def _linear_probs(model: LinearModel, x: np.ndarray) -> np.ndarray:
+    return _softmax(x @ model.w.T + model.b)
+
+
 def linear_loss_and_grad(model: LinearModel, x: np.ndarray, y: np.ndarray):
-    loss, dlogits = _cross_entropy(_softmax(x @ model.w.T + model.b), y)
+    loss, dlogits = _cross_entropy(_linear_probs(model, x), y)
     return loss, {"w": dlogits.T @ x, "b": dlogits.sum(axis=0)}
 
 
@@ -435,7 +457,8 @@ def train_linear_baseline(dataset: FeatureMatrix, tc: TrainConfig,
                            w=np.zeros((n_classes, dataset.rows.shape[1])),
                            b=np.zeros(n_classes), norm=norm)
 
-    return _fit(dataset, tc, n_classes, init_model, linear_loss_and_grad)
+    return _fit(dataset, tc, n_classes, init_model, linear_loss_and_grad,
+                _linear_probs)
 
 
 def evaluate(model, dataset: FeatureMatrix, class_names=None) -> dict:
@@ -525,6 +548,35 @@ def _header_problem(header) -> str | None:
     return f"model header lacks {', '.join(missing)}" if missing else None
 
 
+def _shape_problem(mc: ModelConfig | None, n_classes: int,
+                   arrays: dict) -> str | None:
+    """The first array whose shape disagrees with the config, or None.
+
+    ``mc`` is None for a linear model, whose feature count is ``w``'s width.
+    """
+    if mc is None:
+        n = arrays["w"].shape[1] if arrays["w"].ndim == 2 else -1
+        want = {"w": (n_classes, n), "b": (n_classes,)}
+        widths = range(n, n + 1)
+    else:
+        h, f, t = mc.hidden_size, mc.feat_dim, mc.seq_len
+        per_kind = {"w": (h, f), "u": (h, h), "b": (h,)}
+        want = {name: per_kind[name[0]] for name in GATE_PARAM_NAMES}
+        want.update(w_out=(n_classes, t * h), b_out=(n_classes,))
+        widths = range(1, t * f + 1)
+    for name, shape in want.items():
+        if arrays[name].shape != shape:
+            return (f"array {name!r} has shape {list(arrays[name].shape)}, "
+                    f"the config wants {list(shape)}")
+    loc, scale = arrays.get("norm_loc"), arrays.get("norm_scale")
+    if loc is not None and not (loc.ndim == 1 and len(loc) in widths
+                                and scale.shape == loc.shape):
+        return (f"norm_loc and norm_scale have shapes {list(loc.shape)} and "
+                f"{list(scale.shape)}; the model wants one length from "
+                f"{widths.start} to {widths.stop - 1}")
+    return None
+
+
 def load_model(path):
     with open(path, "rb") as fh:
         magic = fh.read(len(MODEL_MAGIC))
@@ -545,13 +597,21 @@ def load_model(path):
             if len(buf) != count * 8:
                 raise DataFormatError(f"{path}: truncated array {name!r}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    kind = header["kind"]
+    keys, names = _MODEL_LAYOUT[kind]
+    config = {k: header["config"][k] for k in keys}
+    try:
+        mc = ModelConfig(**config) if kind == "gru" else None
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}")
+    problem = _shape_problem(mc, config["n_classes"], arrays)
+    if problem:
+        raise DataFormatError(f"{path}: {problem}")
     norm = None
     if "norm_loc" in arrays:
         norm = NormStats(mode=header["config"].get("norm_mode", "zscore"),
                          loc=arrays["norm_loc"], scale=arrays["norm_scale"])
-    keys, names = _MODEL_LAYOUT[header["kind"]]
-    config = {k: header["config"][k] for k in keys}
     fields = {n: arrays[n] for n in names}
-    if header["kind"] == "gru":
-        return GruModel(config=ModelConfig(**config), **fields, norm=norm)
+    if mc is not None:
+        return GruModel(config=mc, **fields, norm=norm)
     return LinearModel(**config, **fields, norm=norm)

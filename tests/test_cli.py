@@ -426,6 +426,9 @@ MALFORMED_HEADERS = {
     "gru_empty_manifest": {"format_version": 1, "kind": "gru",
                            "config": _GRU_CONFIG, "manifest": []},
     "json_list": [1, "linear"],
+    "bias_shape": {"format_version": 1, "kind": "linear",
+                   "config": {"n_classes": 3},
+                   "manifest": [["w", [3, 24]], ["b", [2]]]},
     "negative_shape": {"format_version": 1, "kind": "linear",
                        "config": {"n_classes": 3},
                        "manifest": [["w", [-3, 24]], ["b", [3]]]},
@@ -445,3 +448,25 @@ class TestMalformedModel:
                    "--model", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+
+class TestModelTableMismatch:
+    @pytest.mark.parametrize("kind", ["gru", "linear"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_feature_count_named(self, tmp_path, labeled_csv, capsys, kind,
+                                 command):
+        model = tmp_path / "model.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), "--model-kind", kind, "--epochs", "1",
+                   "--hidden", "4") == 0
+        full = load_feature_csv(labeled_csv).features
+        narrow = tmp_path / "narrow.csv"
+        save_feature_csv(FeatureMatrix(rows=full.rows[:, :20],
+                                       feature_names=full.feature_names[:20],
+                                       labels=full.labels), narrow)
+        out = ["--out", str(tmp_path / "preds.csv")] * (command == "predict")
+        assert run(command, "--features", str(narrow), "--model",
+                   str(model), *out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "20 features" in err and "trained on 24" in err

@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eegscrub import FeatureMatrix, rng_stream
+import eegscrub
+from eegscrub import FeatureMatrix, NormStats, rng_stream
 from eegscrub.errors import DataFormatError, StratificationError
 from eegscrub.gru import (
+    GATE_PARAM_NAMES,
     MODEL_MAGIC,
     ModelConfig,
     TrainConfig,
@@ -20,7 +28,8 @@ from eegscrub.gru import (
     train,
     train_linear_baseline,
 )
-from eegscrub.gru import _sigmoid
+from eegscrub.core import normalize
+from eegscrub.gru import _cross_entropy, _forward_batch, _sigmoid, _softmax
 
 
 def tiny_model(seed=0, t=3, f=2, h=4, c=3):
@@ -130,6 +139,19 @@ class TestForward:
         assert np.all(np.abs(hidden) < 1.0)
 
 
+@pytest.mark.parametrize("mode", ["zscore", "minmax"])
+def test_predict_proba_is_forward_of_normalized_rows(mode):
+    # predict_proba scales inside its padded copy; the bits must be those of
+    # core.normalize followed by reshape_to_sequences
+    data = blob_dataset(n_per_class=10)
+    mc = ModelConfig.for_features(12, 3, hidden_size=8, seed=2)
+    model = replace(init_gru(mc), norm=normalize(data.rows[::2], mode)[1])
+    seqs = reshape_to_sequences(normalize(data.rows, mode, model.norm)[0], mc)
+    want = _forward_batch(model, seqs)[1]
+    assert np.array_equal(model.predict_proba(data.rows).view(np.uint64),
+                          want.view(np.uint64))
+
+
 class TestLossAndGrad:
     def test_zero_weight_loss_is_ln_c(self):
         from dataclasses import replace
@@ -206,6 +228,81 @@ class TestLossAndGrad:
         seqs, _ = random_batch(model, 2)
         with pytest.raises(ValueError):
             loss_and_grad(model, seqs, np.array([0, 3]))
+
+
+def per_step_loss_and_grad(model, seqs, labels, grad_clip=None):
+    """The per-gate forward and per-step BPTT loops, kept as the reference.
+
+    Three input products and two recurrent products per forward step, and
+    every weight gradient accumulated step by step. Returns the loss, the
+    gradients and the probabilities.
+    """
+    b, t_steps, _ = seqs.shape
+    h = np.zeros((b, model.wz.shape[0]))
+    hs, caches = [], []
+    for t in range(t_steps):
+        xt = seqs[:, t, :]
+        z = _sigmoid(xt @ model.wz.T + h @ model.uz.T + model.bz)
+        r = _sigmoid(xt @ model.wr.T + h @ model.ur.T + model.br)
+        cand = np.tanh(xt @ model.wh.T + (r * h) @ model.uh.T + model.bh)
+        caches.append((xt, h, z, r, cand))
+        h = (1.0 - z) * h + z * cand
+        hs.append(h)
+    flat = np.concatenate(hs, axis=1)
+    probs = _softmax(flat @ model.w_out.T + model.b_out)
+    loss, dlogits = _cross_entropy(probs, labels)
+    grads = {"w_out": dlogits.T @ flat, "b_out": dlogits.sum(axis=0)}
+    for name in GATE_PARAM_NAMES:
+        grads[name] = np.zeros_like(getattr(model, name))
+    dh_seq = (dlogits @ model.w_out).reshape(b, t_steps, -1)
+    dh_next = np.zeros_like(h)
+    for t in range(t_steps - 1, -1, -1):
+        xt, h_prev, z, r, cand = caches[t]
+        dh = dh_seq[:, t, :] + dh_next
+        dz = dh * (cand - h_prev) * z * (1.0 - z)
+        dcand = dh * z * (1.0 - cand**2)
+        drh = dcand @ model.uh
+        dr = drh * h_prev * r * (1.0 - r)
+        for gate, d, rec in (("z", dz, h_prev), ("r", dr, h_prev),
+                             ("h", dcand, r * h_prev)):
+            grads["w" + gate] += d.T @ xt
+            grads["u" + gate] += d.T @ rec
+            grads["b" + gate] += d.sum(axis=0)
+        dh_next = (dh * (1.0 - z) + drh * r + dz @ model.uz
+                   + dr @ model.ur)
+    if grad_clip is not None:
+        norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+        if norm > grad_clip:
+            grads = {k: g * (grad_clip / norm) for k, g in grads.items()}
+    return loss, grads, probs
+
+
+def max_rel_diff(got, want):
+    scale = np.abs(want).max()
+    return np.abs(got - want).max() / scale if scale else np.abs(got).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 6), t=st.integers(1, 6), h=st.integers(1, 6),
+       f=st.integers(1, 6), seed=st.integers(0, 2**16),
+       grad_clip=st.sampled_from([None, 0.05, 5.0]))
+def test_stacked_gates_match_per_step_reference(b, t, h, f, seed, grad_clip):
+    model = tiny_model(seed=seed, t=t, f=f, h=h)
+    rng = rng_stream(seed, "gru-reference")
+    model = replace(model, bz=rng.normal(size=h), br=rng.normal(size=h),
+                    bh=rng.normal(size=h))
+    seqs = rng.normal(size=(b, t, f))
+    labels = rng.integers(0, 3, size=b)
+    loss, grads = loss_and_grad(model, seqs, labels, grad_clip=grad_clip)
+    ref_loss, ref_grads, ref_probs = per_step_loss_and_grad(
+        model, seqs, labels, grad_clip)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert list(grads) == list(ref_grads)
+    for name, want in ref_grads.items():
+        assert grads[name].shape == want.shape
+        assert max_rel_diff(grads[name], want) <= 1e-12, name
+    probs = model.predict_proba(seqs.reshape(b, t * f))
+    assert max_rel_diff(probs, ref_probs) <= 1e-12
 
 
 class TestReshape:
@@ -306,6 +403,76 @@ class TestTrain:
         mc = ModelConfig.for_features(12, 3, hidden_size=8, seed=0)
         with pytest.raises(StratificationError):
             train(partial, mc, TrainConfig(epochs=1, seed=0))
+
+
+@pytest.mark.parametrize("kind", ["gru", "linear"])
+def test_history_rows_are_predict_proba_over_full_splits(kind):
+    # shuffles are seeded per epoch, so the k-epoch model is the 3-epoch
+    # run's model after epoch k - 1
+    data = blob_dataset(n_per_class=14, spread=1.5)
+    y = np.asarray(data.labels)
+
+    def fit(epochs):
+        tc = TrainConfig(epochs=epochs, batch_size=8, seed=6)
+        if kind == "linear":
+            return train_linear_baseline(data, tc)
+        return train(data, ModelConfig.for_features(12, 3, hidden_size=8,
+                                                    seed=6), tc)
+
+    _, history = fit(3)
+    vf = TrainConfig().val_fraction
+    splits = dict(zip(("train", "val"), stratified_split(
+        y, (1.0 - vf, vf, 0.0), seed=6)))
+    for k in (1, 2, 3):
+        model, _ = fit(k)
+        for split, idx in splits.items():
+            probs = model.predict_proba(data.rows[idx])
+            loss, _ = _cross_entropy(probs, y[idx])
+            acc = float(np.mean(probs.argmax(axis=1) == y[idx]))
+            assert history[k - 1][f"{split}_loss"] == loss
+            assert history[k - 1][f"{split}_acc"] == acc
+
+
+_TRAIN_PEAK_RSS_SCRIPT = """
+import resource
+import numpy as np
+from eegscrub import FeatureMatrix, rng_stream
+from eegscrub import gru
+
+def peak_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+def table(n, seed):
+    rng = rng_stream(seed, "gru-train-rss")
+    labels = np.arange(n) % 3
+    rows = rng.normal(size=(n, 2548))
+    rows[:, :3] += 2.0 * (labels[:, None] == np.arange(3))
+    names = [f"f{i}" for i in range(2548)]
+    return FeatureMatrix(rows=rows, feature_names=names, labels=labels.tolist())
+
+def fit_and_predict(data):
+    mc = gru.ModelConfig.for_features(2548, 3, hidden_size=64)
+    model, _ = gru.train(data, mc, gru.TrainConfig(epochs=1))
+    model.predict_proba(data.rows)
+
+fit_and_predict(table(60, 0))  # BLAS buffers on first use
+data = table(1000, 1)
+before = peak_mib()
+fit_and_predict(data)
+print(peak_mib() - before, data.rows.nbytes / 2.0**20)
+"""
+
+
+def test_training_holds_one_normalized_copy():
+    # a 1000 x 2548 table is 19.4 MiB: the normalized training rows, their
+    # padded sequences and the validation rows fit in 2 copies of it
+    src = os.path.dirname(os.path.dirname(eegscrub.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _TRAIN_PEAK_RSS_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    rise_mib, input_mib = map(float, done.stdout.split())
+    assert rise_mib <= 2.0 * input_mib + 16.0
 
 
 class TestLinearBaseline:
@@ -439,6 +606,49 @@ class TestSerialization:
         rows = blob_dataset(n_per_class=10).rows[:5]
         assert np.array_equal(loaded.predict_proba(rows),
                               model.predict_proba(rows))
+
+    @pytest.mark.parametrize("kind,name,bad", [
+        ("gru", "wz", np.zeros((2, 4))),
+        ("gru", "uh", np.zeros((8, 7))),
+        ("gru", "br", np.zeros(7)),
+        ("gru", "w_out", np.zeros((3, 127))),
+        ("gru", "b_out", np.zeros(2)),
+        ("linear", "w", np.zeros((2, 12))),
+        ("linear", "w", np.zeros(36)),
+        ("linear", "b", np.zeros(4)),
+    ])
+    def test_array_shape_checked_against_config(self, tmp_path, kind, name,
+                                                bad):
+        path = tmp_path / "model.bin"
+        save_model(replace(self.trained(kind), **{name: bad}), path)
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+        assert f"array {name!r} has shape {list(bad.shape)}" in str(info.value)
+
+    @pytest.mark.parametrize("kind,n_loc,n_scale", [
+        ("gru", 12, 11), ("gru", 17, 17), ("linear", 11, 11),
+        ("linear", 12, 13),
+    ])
+    def test_norm_length_checked(self, tmp_path, kind, n_loc, n_scale):
+        model = self.trained(kind)  # 12 features; the GRU holds 16
+        norm = NormStats("zscore", np.zeros(n_loc), np.ones(n_scale))
+        path = tmp_path / "model.bin"
+        save_model(replace(model, norm=norm), path)
+        with pytest.raises(DataFormatError, match="norm_loc and norm_scale"):
+            load_model(path)
+
+    def test_invalid_config_is_data_error(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(self.trained("gru"), path)
+        header_line, blobs = path.read_bytes()[len(MODEL_MAGIC):].split(
+            b"\n", 1)
+        header = json.loads(header_line)
+        header["config"]["n_classes"] = 1
+        path.write_bytes(MODEL_MAGIC + (json.dumps(header) + "\n").encode()
+                         + blobs)
+        with pytest.raises(DataFormatError, match="n_classes"):
+            load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
