@@ -5,7 +5,7 @@ Run with: python3 demos/01_filtering_and_epochs.py
 
 import numpy as np
 
-from eegscrub import FilterSpec, Recording, Signal, apply_filter, normalize, segment_epochs
+from eegscrub import FilterSpec, Recording, Signal, apply_filter, epoch_view, normalize
 
 FS = 256.0
 
@@ -48,7 +48,8 @@ def main():
         channel_names=("TP9", "AF7"),
         subject_meta={"note": "synthetic walkthrough"},
     )
-    epochs = segment_epochs(rec.channel("TP9"), window_s=2.0, overlap=0.5)
+    tp9 = rec.channel("TP9")
+    epochs = epoch_view(tp9.samples, tp9.fs, window_s=2.0, overlap=0.5)
     print(f"\nsegmenting {len(cleaned) / FS:g} s into 2 s epochs at 50% overlap:")
     print(f"  {len(epochs)} epochs, each {len(epochs[0])} samples")
 

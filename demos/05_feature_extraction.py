@@ -28,7 +28,7 @@ def main():
     rec = make_recording()
 
     tp9 = rec.channel("TP9")
-    freqs, psd = welch_psd(tp9)
+    freqs, psd = welch_psd(tp9.samples, tp9.fs)
     print(f"Welch PSD: {len(freqs)} bins up to {freqs[-1]:g} Hz, "
           f"peak at {freqs[np.argmax(psd)]:.2f} Hz")
 

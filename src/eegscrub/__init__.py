@@ -8,9 +8,9 @@ from .core import (
     Signal,
     apply_filter,
     denormalize,
+    epoch_view,
     moving_average,
     normalize,
-    segment_epochs,
 )
 from .dataset import (
     CLASS_NAMES,

@@ -195,12 +195,6 @@ def epoch_view(x: np.ndarray, fs: float, window_s: float,
     return sliding_window_view(x, win, axis=-1)[..., ::hop, :]
 
 
-def segment_epochs(signal: Signal, window_s: float, overlap: float = 0.0) -> list:
-    """The epochs of :func:`epoch_view`, one Signal each."""
-    return [signal.with_samples(row) for row in
-            epoch_view(signal.samples, signal.fs, window_s, overlap)]
-
-
 @dataclass(frozen=True)
 class NormStats:
     """Per-column location/scale so a normalization can be replayed or undone."""

@@ -326,7 +326,7 @@ def remove_blink_template(
     tpl = template.samples
     m = len(tpl)
     if m >= rec.n_samples:
-        raise ValueError(
+        raise TooShortError(
             f"template ({m}) must be shorter than the recording ({rec.n_samples})"
         )
     frontal = [rec.channel(name) for name in frontal_channels]

@@ -4,10 +4,10 @@ Each epoch of each channel contributes 12 features (5 band powers, spectral
 entropy, 6 time-domain moments), concatenated per channel into one flat row,
 matching the flat feature-vector shape of pre-extracted public datasets.
 
-Each feature is computed along the last axis of an array, so
-``build_feature_matrix`` runs the code behind ``welch_psd``, ``band_powers``,
-``spectral_entropy`` and ``time_stats`` once on the whole (channels, epochs,
-window) block cut by ``core.epoch_view``.
+``welch_psd``, ``band_powers``, ``spectral_entropy`` and ``time_stats`` take
+arrays and work along their last axis, so ``build_feature_matrix`` calls each
+of them once on the whole (channels, epochs, window) block cut by
+``core.epoch_view``.
 """
 
 import math
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .core import Recording, Signal, epoch_view
-from .errors import DegenerateInputError
+from .core import Recording, epoch_view
 
 BANDS = (
     ("delta", 0.5, 4.0),
@@ -72,8 +71,11 @@ class FeatureMatrix:
         return self.rows.shape[1]
 
 
-def _welch(x: np.ndarray, fs: float, seg_len: int, overlap: float):
-    """Welch PSD along the last axis of ``x``; returns (freqs, psd)."""
+def welch_psd(x: np.ndarray, fs: float, seg_len: int = 256,
+              overlap: float = 0.5):
+    """Averaged Hann-windowed periodograms along the last axis of ``x``;
+    returns (freqs, psd)."""
+    x = np.asarray(x, dtype=float)
     seg_len = int(seg_len)
     if seg_len < _MIN_SEG_LEN:
         raise ValueError(f"seg_len must be >= {_MIN_SEG_LEN}, got {seg_len}")
@@ -85,11 +87,6 @@ def _welch(x: np.ndarray, fs: float, seg_len: int, overlap: float):
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
     return sps.welch(x, fs=fs, window="hann", nperseg=seg_len,
                      noverlap=int(seg_len * overlap), detrend=False, axis=-1)
-
-
-def welch_psd(signal: Signal, seg_len: int = 256, overlap: float = 0.5):
-    """Averaged Hann-windowed periodograms; returns (freqs, psd)."""
-    return _welch(signal.samples, signal.fs, seg_len, overlap)
 
 
 def band_powers(freqs: np.ndarray, psd: np.ndarray) -> tuple:
@@ -104,26 +101,22 @@ def band_powers(freqs: np.ndarray, psd: np.ndarray) -> tuple:
     return tuple(np.trapezoid(psd[..., m], freqs[m], axis=-1) for m in masks)
 
 
-def _entropy(psd: np.ndarray) -> np.ndarray:
-    """Normalized entropy along the last axis; 0 for an all-zero row."""
+def spectral_entropy(psd: np.ndarray):
+    """Shannon entropy of the normalized PSD along the last axis, scaled to
+    [0, 1] by ln(n); 0 for an all-zero row."""
+    psd = np.asarray(psd, dtype=float)
     total = psd.sum(axis=-1, keepdims=True)
     p = psd / np.where(total > 0.0, total, 1.0)
     log_p = np.log(p, out=np.zeros_like(p), where=p > 0.0)
     return -(p * log_p).sum(axis=-1) / math.log(psd.shape[-1])
 
 
-def spectral_entropy(psd: np.ndarray):
-    """Shannon entropy of the normalized PSD along the last axis, scaled to
-    [0, 1] by ln(n)."""
-    psd = np.asarray(psd, dtype=float)
-    if np.any(psd.sum(axis=-1) <= 0.0):
-        raise DegenerateInputError("spectral entropy needs a nonzero PSD")
-    return _entropy(psd)
-
-
-def _moments(x: np.ndarray) -> dict:
-    """STAT_NAMES and ``degenerate`` (zero variance) along the last axis;
-    skewness and kurtosis are 0 where degenerate."""
+def time_stats(x: np.ndarray) -> dict:
+    """STAT_NAMES population moments and ``degenerate`` (zero variance)
+    along the last axis; skewness and kurtosis are 0 where degenerate."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] < 2:
+        raise ValueError("need at least 2 samples")
     mean = x.mean(axis=-1)
     var = x.var(axis=-1)
     degenerate = var == 0.0
@@ -142,14 +135,6 @@ def _moments(x: np.ndarray) -> dict:
     }
 
 
-def time_stats(signal: Signal) -> dict:
-    """Population moments as Python scalars; skew/kurtosis forced to 0 on
-    constant input, which is flagged ``degenerate``."""
-    if len(signal) < 2:
-        raise ValueError("need at least 2 samples")
-    return {k: v.item() for k, v in _moments(signal.samples).items()}
-
-
 def build_feature_matrix(
     rec: Recording,
     window_s: float,
@@ -166,9 +151,9 @@ def build_feature_matrix(
     labels = None if label is None else (int(label),) * n_epochs
     if n_epochs == 0:
         return FeatureMatrix(np.empty((0, len(names))), names, labels)
-    freqs, psd = _welch(epochs, rec.fs, seg_len=min(256, win), overlap=0.5)
-    stats = _moments(epochs)
-    feats = np.stack([*band_powers(freqs, psd), _entropy(psd),
+    freqs, psd = welch_psd(epochs, rec.fs, seg_len=min(256, win))
+    stats = time_stats(epochs)
+    feats = np.stack([*band_powers(freqs, psd), spectral_entropy(psd),
                       *(stats[name] for name in STAT_NAMES)], axis=-1)
     rows = feats.transpose(1, 0, 2).reshape(n_epochs, len(names))
     return FeatureMatrix(rows=rows, feature_names=names, labels=labels)

@@ -402,6 +402,11 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
     train_idx, val_idx, _ = stratified_split(
         y, (1.0 - tc.val_fraction, tc.val_fraction, 0.0), seed=tc.seed
     )
+    if len(val_idx) == 0:  # val_fraction <= 0.5 always leaves training rows
+        raise StratificationError(
+            f"val_fraction {tc.val_fraction} splits {len(y)} rows into "
+            f"{len(train_idx)} training and {len(val_idx)} validation rows "
+            f"(smallest class: {np.unique(y, return_counts=True)[1].min()})")
     x_train, norm = normalize(rows[train_idx], "zscore")
     model = init_model(norm)
     inputs = to_inputs(x_train)

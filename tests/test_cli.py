@@ -125,6 +125,15 @@ class TestExitCodes:
                    str(model), flag, value) == 2
         assert not model.exists()
 
+    def test_empty_validation_split_data_error(self, tmp_path, labeled_csv,
+                                               capsys):
+        # 20 rows per class: val_fraction 0.02 leaves the validation empty
+        model = tmp_path / "m.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), "--val-fraction", "0.02") == 2
+        assert "val_fraction" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_command_table_names_every_subcommand(self):
         parser = build_parser()
         (sub,) = [a for a in parser._actions if a.dest == "command"]

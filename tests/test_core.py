@@ -7,10 +7,10 @@ from eegscrub import (
     Signal,
     apply_filter,
     denormalize,
+    epoch_view,
     moving_average,
     normalize,
     rng_stream,
-    segment_epochs,
 )
 from eegscrub.decompose import (
     dwt_forward,
@@ -138,21 +138,24 @@ class TestApplyFilter:
 
 class TestSegmentEpochs:
     def test_no_overlap_count(self):
-        epochs = segment_epochs(sine(5, n=1024), window_s=1.0, overlap=0.0)
+        x = sine(5, n=1024)
+        epochs = epoch_view(x.samples, x.fs, window_s=1.0, overlap=0.0)
         assert len(epochs) == 4
         assert all(len(e) == 256 for e in epochs)
 
     def test_half_overlap_count(self):
-        epochs = segment_epochs(sine(5, n=1024), window_s=1.0, overlap=0.5)
+        x = sine(5, n=1024)
+        epochs = epoch_view(x.samples, x.fs, window_s=1.0, overlap=0.5)
         assert len(epochs) == 7
 
     def test_window_longer_than_signal(self):
-        assert segment_epochs(sine(5, n=100), 1.0, 0.0) == []
+        x = sine(5, n=100)
+        assert len(epoch_view(x.samples, x.fs, 1.0, 0.0)) == 0
 
     def test_concatenation_is_prefix(self):
         x = sine(5, n=1000)
-        epochs = segment_epochs(x, window_s=1.0, overlap=0.0)
-        cat = np.concatenate([e.samples for e in epochs])
+        epochs = epoch_view(x.samples, x.fs, window_s=1.0, overlap=0.0)
+        cat = np.concatenate(list(epochs))
         assert np.array_equal(cat, x.samples[: len(cat)])
 
 

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import eegscrub
 from eegscrub import (
@@ -26,9 +28,9 @@ from eegscrub import (
 )
 from eegscrub import denoise
 from eegscrub.bench import make_blink_template
-from eegscrub.denoise import METHOD_IDS, METHODS
+from eegscrub.denoise import METHOD_IDS, METHODS, apply_method
 from eegscrub.decompose import ssa_decompose, ssa_reconstruct
-from eegscrub.errors import DivergenceError, TooShortError
+from eegscrub.errors import DivergenceError, EegScrubError, TooShortError
 
 FS = 256.0
 
@@ -444,9 +446,51 @@ class TestBlinkTemplate:
 
     def test_template_longer_than_recording(self):
         rec, _, template, _, _ = self.build_case()
-        long_template = Signal(samples=np.ones(4096), fs=FS)
-        with pytest.raises(ValueError):
-            remove_blink_template(rec, long_template, ["AF7"])
+        for m in (4096, rec.n_samples):
+            long_template = Signal(samples=np.ones(m), fs=FS)
+            with pytest.raises(TooShortError):
+                remove_blink_template(rec, long_template, ["AF7"])
+
+
+def edge_samples(kind, n, log_amp, seed):
+    x = np.random.default_rng(seed).normal(size=n)
+    if kind == "constant":
+        x = np.ones(n)
+    elif kind == "zero":
+        x = np.zeros(n)
+    elif kind == "impulse":
+        x = np.zeros(n)
+        x[n // 2] = 1.0
+    return 10.0**log_amp * x
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 2048),
+       kind=st.sampled_from(["noise", "constant", "zero", "impulse"]),
+       log_amp=st.floats(-150.0, 150.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, kind="noise", log_amp=0.0, seed=0)
+@example(n=64, kind="impulse", log_amp=150.0, seed=0)
+def test_every_method_typed_error_or_finite_output(method, n, kind, log_amp,
+                                                   seed):
+    """Each run ends in an EegScrubError or in finite output of the input's
+    length on every channel."""
+    names = ("TP9", "AF7", "AF8", "TP10")
+    rec = Recording(tuple(Signal(edge_samples(kind, n, log_amp, seed + i), FS)
+                          for i in range(len(names))), names)
+    inputs = {
+        "references": ([Signal(edge_samples(kind, n, log_amp, seed + 9),
+                               FS)],),
+        "template": (make_blink_template(NoiseSpec("blink", {}, seed=0), FS),
+                     ["AF7", "AF8"]),
+    }.get(METHODS[method].needs, ())
+    try:
+        out, _ = apply_method(method, rec, *inputs)
+    except EegScrubError:
+        return
+    for ch in out.channels:
+        assert len(ch) == n and np.all(np.isfinite(ch.samples))
 
 
 class TestCommonContracts:

@@ -10,7 +10,7 @@ from eegscrub import (
     Signal,
     band_powers,
     build_feature_matrix,
-    segment_epochs,
+    epoch_view,
     spectral_entropy,
     time_stats,
     welch_psd,
@@ -21,15 +21,15 @@ FS = 64.0
 
 
 def reference_rows(rec, window_s, overlap):
-    """One Signal, one Welch PSD and one set of moments per epoch and
-    channel, concatenated channel by channel."""
-    per_channel = [segment_epochs(ch, window_s, overlap)
+    """One Welch PSD and one set of moments per epoch and channel,
+    concatenated channel by channel."""
+    per_channel = [epoch_view(ch.samples, ch.fs, window_s, overlap)
                    for ch in rec.channels]
     rows = []
     for epochs in zip(*per_channel):
         row = []
         for epoch in epochs:
-            freqs, psd = welch_psd(epoch, seg_len=min(256, len(epoch)))
+            freqs, psd = welch_psd(epoch, rec.fs, seg_len=min(256, len(epoch)))
             row.extend(band_powers(freqs, psd))
             row.append(0.0 if psd.sum() <= 0 else spectral_entropy(psd))
             stats = time_stats(epoch)
@@ -66,7 +66,8 @@ def test_matches_per_epoch_reference(n, window_s, overlap, channels):
     matrix = build_feature_matrix(rec, window_s, overlap)
     ref = reference_rows(rec, window_s, overlap)
 
-    assert matrix.n_rows == len(segment_epochs(signals[0], window_s, overlap))
+    assert matrix.n_rows == len(epoch_view(signals[0].samples, FS, window_s,
+                                           overlap))
     assert matrix.n_features == FEATURES_PER_CHANNEL * len(signals)
     assert np.all(np.isfinite(matrix.rows))
     assert len(ref) == matrix.n_rows

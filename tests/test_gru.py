@@ -406,6 +406,22 @@ class TestTrain:
 
 
 @pytest.mark.parametrize("kind", ["gru", "linear"])
+def test_empty_validation_split_names_val_fraction(kind):
+    # 10 rows per class at val_fraction 0.05 split as [30, 0, 0]
+    data = blob_dataset(n_per_class=10)
+    tc = TrainConfig(epochs=1, val_fraction=0.05, seed=0)
+    with pytest.raises(StratificationError) as err:
+        if kind == "linear":
+            train_linear_baseline(data, tc)
+        else:
+            train(data, ModelConfig.for_features(12, 3, seed=0), tc)
+    msg = str(err.value)
+    assert "val_fraction 0.05" in msg
+    assert "30 training and 0 validation" in msg
+    assert "smallest class: 10" in msg
+
+
+@pytest.mark.parametrize("kind", ["gru", "linear"])
 def test_history_rows_are_predict_proba_over_full_splits(kind):
     # shuffles are seeded per epoch, so the k-epoch model is the 3-epoch
     # run's model after epoch k - 1
