@@ -74,7 +74,7 @@ def main():
     result = evaluate(model, test)
     print(f"\nGRU test accuracy: {result['accuracy']:.4f}")
     print("confusion matrix (rows = truth):")
-    for name, counts in zip(CLASS_NAMES, result["confusion"].counts):
+    for name, counts in zip(CLASS_NAMES, result["confusion"]):
         print(f"  {name:<8} {counts}")
     for i, name in enumerate(CLASS_NAMES):
         print(f"  {name:<8} precision {result['precision'][i]:.3f}  "

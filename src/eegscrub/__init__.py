@@ -7,7 +7,6 @@ from .core import (
     Recording,
     Signal,
     apply_filter,
-    denormalize,
     epoch_view,
     moving_average,
     normalize,
@@ -56,7 +55,6 @@ from .features import (
     welch_psd,
 )
 from .gru import (
-    ConfusionMatrix,
     GruModel,
     LinearModel,
     ModelConfig,

@@ -96,7 +96,7 @@ def _median_iqr(values) -> tuple:
 
 def run_bench(methods, noise_specs, snrs_db, seeds,
               n: int = 2048, fs: float = 256.0) -> dict:
-    """Full grid; returns sorted leaderboard rows and per-noise tables."""
+    """Full grid; returns ``{"rows": [...]}`` of sorted leaderboard rows."""
     methods = list(methods)
     specs = [s if isinstance(s, NoiseSpec) else NoiseSpec.from_text(s)
              for s in noise_specs]
@@ -134,10 +134,7 @@ def run_bench(methods, noise_specs, snrs_db, seeds,
                         d["mix_roundtrip_db"] for d in draws
                     ),
                 })
-    tables = {}
-    for row in rows:
-        tables.setdefault(row["noise_kind"], []).append(row)
-    return {"rows": rows, "tables": tables}
+    return {"rows": rows}
 
 
 def leaderboard_csv_rows(result: dict) -> list:

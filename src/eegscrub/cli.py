@@ -263,14 +263,14 @@ def _cmd_train(args, seed: int) -> tuple:
                      val_fraction=args.val_fraction, seed=seed)
     if args.model_kind == "gru":
         mc = ModelConfig.for_features(dataset.features.n_features,
-                                      len(dataset.class_names),
+                                      len(CLASS_NAMES),
                                       hidden_size=args.hidden, seed=seed)
         model, history = train(dataset.features, mc, tc)
         model_config = asdict(mc)
     else:
         model, history = train_linear_baseline(
-            dataset.features, tc, n_classes=len(dataset.class_names))
-        model_config = {"n_classes": len(dataset.class_names)}
+            dataset.features, tc, n_classes=len(CLASS_NAMES))
+        model_config = {"n_classes": len(CLASS_NAMES)}
     save_model(model, args.model)
     if args.history:
         write_csv(args.history, list(history[0]),
@@ -284,10 +284,9 @@ def _cmd_train(args, seed: int) -> tuple:
 def _cmd_eval(args, seed: int) -> tuple:
     dataset = load_feature_csv(args.features)
     model = load_model(args.model)
-    result = evaluate(model, dataset.features,
-                      class_names=dataset.class_names)
+    result = evaluate(model, dataset.features)
     print(f"accuracy {result['accuracy']:.4f}")
-    for i, name in enumerate(dataset.class_names):
+    for i, name in enumerate(CLASS_NAMES):
         print(f"{name}: precision {result['precision'][i]:.4f} "
               f"recall {result['recall'][i]:.4f} f1 {result['f1'][i]:.4f}")
     config = {"features": str(args.features), "model": str(args.model)}
@@ -297,8 +296,8 @@ def _cmd_eval(args, seed: int) -> tuple:
         "recall": result["recall"],
         "f1": result["f1"],
         "flags": result["flags"],
-        "confusion_counts": result["confusion"].counts,
-        "class_names": dataset.class_names,
+        "confusion_counts": result["confusion"],
+        "class_names": CLASS_NAMES,
     }
 
 

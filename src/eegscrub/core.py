@@ -1,11 +1,11 @@
-"""Waveform types, zero-phase filtering, epoching and normalization.
+"""Waveform types, zero-phase filtering, epoching and z-score normalization.
 
 These are the primitives every other module builds on. All values are
 immutable after construction (sample buffers are marked read-only), so they
 are safe to share across threads.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,7 +67,6 @@ class Recording:
 
     channels: tuple
     channel_names: tuple
-    subject_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         channels = tuple(self.channels)
@@ -84,7 +83,6 @@ class Recording:
                 raise ValueError("all channels must share length and rate")
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "channel_names", names)
-        object.__setattr__(self, "subject_meta", dict(self.subject_meta))
 
     @property
     def fs(self) -> float:
@@ -197,9 +195,8 @@ def epoch_view(x: np.ndarray, fs: float, window_s: float,
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-column location/scale so a normalization can be replayed or undone."""
+    """Column means and sigmas (1 where constant) of a z-score, to replay it."""
 
-    mode: str
     loc: np.ndarray
     scale: np.ndarray
 
@@ -214,22 +211,8 @@ class NormStats:
         return cols
 
 
-def _norm_stats(cols: np.ndarray, mode: str) -> NormStats:
-    if mode == "zscore":
-        loc = cols.mean(axis=0)
-        scale = cols.std(axis=0)  # population sigma
-    elif mode == "minmax":
-        loc = cols.min(axis=0)
-        scale = cols.max(axis=0) - loc
-    else:
-        raise ValueError(f"mode must be 'zscore' or 'minmax', got {mode!r}")
-    # constant columns map to zero instead of dividing by zero
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return NormStats(mode, loc, scale)
-
-
-def normalize(data, mode: str = "zscore", stats: NormStats | None = None):
-    """Column-wise z-score or min-max scaling of a 1-D or 2-D array.
+def normalize(data, stats: NormStats | None = None):
+    """Column-wise z-score of a 1-D or 2-D array.
 
     Returns the scaled array and the stats used. Pass precomputed ``stats``
     to apply a training-set normalization to new data instead of refitting.
@@ -239,18 +222,11 @@ def normalize(data, mode: str = "zscore", stats: NormStats | None = None):
         raise ValueError("cannot normalize empty data")
     cols = arr.reshape(-1, 1) if arr.ndim == 1 else arr
     if stats is None:
-        stats = _norm_stats(cols, mode)
-    elif stats.mode != mode:
-        raise ValueError(f"stats were computed for mode {stats.mode!r}, not {mode!r}")
+        scale = cols.std(axis=0)
+        # constant columns map to zero instead of dividing by zero
+        stats = NormStats(cols.mean(axis=0), np.where(scale == 0.0, 1.0, scale))
     normed = stats.apply_in_place(cols.copy())
     return normed.reshape(arr.shape), stats
-
-
-def denormalize(data, stats: NormStats) -> np.ndarray:
-    """Invert :func:`normalize` with the stats it returned."""
-    arr = np.asarray(data, dtype=np.float64)
-    cols = arr.reshape(-1, 1) if arr.ndim == 1 else arr
-    return (cols * stats.scale + stats.loc).reshape(arr.shape)
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float | None:

@@ -33,18 +33,13 @@ _LABEL = "label"  # the feature-table column holding class labels
 
 @dataclass(frozen=True)
 class LabeledDataset:
+    """A feature table with a label on every row, as load_feature_csv reads it."""
+
     features: FeatureMatrix
-    class_names: tuple
-    source: str
 
     def __post_init__(self):
         if self.features.labels is None:
             raise ValueError("LabeledDataset requires labels")
-        c = len(self.class_names)
-        bad = [v for v in self.features.labels if not 0 <= v < c]
-        if bad:
-            raise ValueError(f"labels outside [0, {c}): {sorted(set(bad))}")
-        object.__setattr__(self, "class_names", tuple(self.class_names))
 
 
 def parse_label(text: str) -> int:
@@ -188,8 +183,8 @@ def write_csv(path, header, rows, texts=None) -> None:
 
 def load_feature_csv(path,
                      require_label: bool = True) -> LabeledDataset | FeatureMatrix:
-    """Read a feature table as a LabeledDataset; with ``require_label=False``,
-    as a FeatureMatrix whose ``label`` column, if any, is dropped unparsed."""
+    """A LabeledDataset, labels parsed to indices of ``CLASS_NAMES``; with
+    ``require_label=False``, a FeatureMatrix, any ``label`` column unread."""
 
     def label_index(header):
         if _LABEL not in header and require_label:
@@ -207,20 +202,16 @@ def load_feature_csv(path,
             raise DataFormatError(f"{path}: row {row_num}: {exc}")
     matrix = FeatureMatrix(rows=rows, feature_names=tuple(names),
                            labels=labels or None)
-    if not labels:
-        return matrix
-    return LabeledDataset(features=matrix, class_names=CLASS_NAMES,
-                          source=str(path))
+    return LabeledDataset(matrix) if labels else matrix
 
 
-def save_feature_csv(matrix: FeatureMatrix, path,
-                     class_names=CLASS_NAMES) -> None:
-    """Header of feature names plus a trailing label column when labeled."""
+def save_feature_csv(matrix: FeatureMatrix, path) -> None:
+    """Header of feature names, then a label column of CLASS_NAMES if labeled."""
     header = list(matrix.feature_names)
     texts = None
     if matrix.labels is not None:
         header.append(_LABEL)
-        texts = [class_names[y] for y in matrix.labels]
+        texts = [CLASS_NAMES[y] for y in matrix.labels]
     write_csv(path, header, matrix.rows, texts)
 
 
@@ -243,7 +234,6 @@ def load_raw_csv(path, fs: float = 256.0) -> Recording:
     return Recording(
         channels=tuple(Signal(samples=col, fs=fs) for col in values.T),
         channel_names=tuple(names),
-        subject_meta={"source": str(path), "fs": fs},
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .core import Recording, epoch_view
+from .errors import NumericDegeneracyError
 
 BANDS = (
     ("delta", 0.5, 4.0),
@@ -141,7 +142,8 @@ def build_feature_matrix(
     overlap: float = 0.0,
     label: int | None = None,
 ) -> FeatureMatrix:
-    """One row per epoch; columns are <channel>_<feature> per channel."""
+    """One row per epoch; columns are <channel>_<feature> per channel.
+    NumericDegeneracyError names each channel whose features overflow."""
     names = tuple(f"{ch}_{feat}" for ch in rec.channel_names
                   for feat in FEATURE_NAMES)
     epochs = np.stack([epoch_view(ch.samples, rec.fs, window_s, overlap,
@@ -151,9 +153,15 @@ def build_feature_matrix(
     labels = None if label is None else (int(label),) * n_epochs
     if n_epochs == 0:
         return FeatureMatrix(np.empty((0, len(names))), names, labels)
-    freqs, psd = welch_psd(epochs, rec.fs, seg_len=min(256, win))
-    stats = time_stats(epochs)
-    feats = np.stack([*band_powers(freqs, psd), spectral_entropy(psd),
-                      *(stats[name] for name in STAT_NAMES)], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        freqs, psd = welch_psd(epochs, rec.fs, seg_len=min(256, win))
+        stats = time_stats(epochs)
+        feats = np.stack([*band_powers(freqs, psd), spectral_entropy(psd),
+                          *(stats[name] for name in STAT_NAMES)], axis=-1)
+    bad = [name for name, f in zip(rec.channel_names, feats)
+           if not np.isfinite(f).all()]
+    if bad:
+        raise NumericDegeneracyError(f"features of channel(s) {', '.join(bad)}"
+                                     " are not finite: they overflow float64")
     rows = feats.transpose(1, 0, 2).reshape(n_epochs, len(names))
     return FeatureMatrix(rows=rows, feature_names=names, labels=labels)

@@ -24,6 +24,7 @@ from .rng import rng_stream
 SEQ_LEN = 16
 MODEL_MAGIC = b"EEGSCRUB-MODEL\n"
 MODEL_FORMAT_VERSION = 1
+NORM_MODE = "zscore"  # the one normalization a model file may name
 
 GATE_PARAM_NAMES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
 
@@ -115,29 +116,8 @@ class LinearModel:
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
         x = _checked_rows(rows, self.norm)
         if self.norm is not None:
-            x = normalize(x, self.norm.mode, self.norm)[0]
+            x = normalize(x, self.norm)[0]
         return _linear_probs(self, x)
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[i, j] = samples of true class i predicted as class j."""
-
-    counts: np.ndarray
-    class_names: tuple
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-            raise ValueError(f"counts must be square, got {counts.shape}")
-        if (counts < 0).any() or not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError("counts must be nonnegative integers")
-        names = tuple(str(n) for n in self.class_names)
-        if len(names) != counts.shape[0]:
-            raise ValueError("one class name per matrix row required")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "class_names", names)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -399,19 +379,18 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
     """
     rows, y = _dataset_arrays(dataset)
     _check_classes(y, n_classes)
-    train_idx, val_idx, _ = stratified_split(
-        y, (1.0 - tc.val_fraction, tc.val_fraction, 0.0), seed=tc.seed
-    )
+    train_idx, val_idx = stratified_split(
+        y, (1.0 - tc.val_fraction, tc.val_fraction), seed=tc.seed)
     if len(val_idx) == 0:  # val_fraction <= 0.5 always leaves training rows
         raise StratificationError(
             f"val_fraction {tc.val_fraction} splits {len(y)} rows into "
             f"{len(train_idx)} training and {len(val_idx)} validation rows "
             f"(smallest class: {np.unique(y, return_counts=True)[1].min()})")
-    x_train, norm = normalize(rows[train_idx], "zscore")
+    x_train, norm = normalize(rows[train_idx])
     model = init_model(norm)
     inputs = to_inputs(x_train)
     del x_train  # the shaped copy is all the loop reads
-    val_inputs = to_inputs(normalize(rows[val_idx], "zscore", norm)[0])
+    val_inputs = to_inputs(normalize(rows[val_idx], norm)[0])
     y_train, y_val = y[train_idx], y[val_idx]
     adam = _Adam(tc)
     history = []
@@ -466,8 +445,9 @@ def train_linear_baseline(dataset: FeatureMatrix, tc: TrainConfig,
                 _linear_probs)
 
 
-def evaluate(model, dataset: FeatureMatrix, class_names=None) -> dict:
-    """Accuracy, per-class precision/recall/F1, and the confusion matrix."""
+def evaluate(model, dataset: FeatureMatrix) -> dict:
+    """Accuracy, per-class precision/recall/F1, and the confusion counts:
+    ``confusion[i, j]`` rows of true class i predicted as class j."""
     rows, y = _dataset_arrays(dataset)
     if len(y) == 0:
         raise ValueError("test set must be nonempty")
@@ -476,7 +456,6 @@ def evaluate(model, dataset: FeatureMatrix, class_names=None) -> dict:
     c = probs.shape[1]
     counts = np.zeros((c, c), dtype=int)
     np.add.at(counts, (y, predicted), 1)
-    names = tuple(class_names or map(str, range(c)))
     col, row, diag = counts.sum(axis=0), counts.sum(axis=1), counts.diagonal()
     precision = np.divide(diag, col, out=np.zeros(c), where=col > 0)
     recall = np.divide(diag, row, out=np.zeros(c), where=row > 0)
@@ -490,7 +469,7 @@ def evaluate(model, dataset: FeatureMatrix, class_names=None) -> dict:
         "recall": tuple(recall.tolist()),
         "f1": tuple(f1.tolist()),
         "flags": flags,
-        "confusion": ConfusionMatrix(counts=counts, class_names=names),
+        "confusion": counts,
     }
 
 
@@ -506,7 +485,7 @@ def save_model(model, path) -> None:
     if model.norm is not None:
         arrays["norm_loc"] = np.asarray(model.norm.loc, dtype=float)
         arrays["norm_scale"] = np.asarray(model.norm.scale, dtype=float)
-        config["norm_mode"] = model.norm.mode
+        config["norm_mode"] = NORM_MODE
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": kind,
@@ -544,6 +523,8 @@ def _header_problem(header) -> str | None:
                 and isinstance(entry[0], str) and isinstance(entry[1], list)
                 and all(isinstance(d, int) and d >= 0 for d in entry[1])):
             return f"bad manifest entry {entry!r}; want [name, [dims >= 0]]"
+    if config.get("norm_mode", NORM_MODE) != NORM_MODE:
+        return f"unsupported norm_mode {config['norm_mode']!r} (want {NORM_MODE!r})"
     keys, arrays = _MODEL_LAYOUT[header["kind"]]
     names = {name for name, _ in manifest}
     if "norm_loc" in names:
@@ -614,8 +595,7 @@ def load_model(path):
         raise DataFormatError(f"{path}: {problem}")
     norm = None
     if "norm_loc" in arrays:
-        norm = NormStats(mode=header["config"].get("norm_mode", "zscore"),
-                         loc=arrays["norm_loc"], scale=arrays["norm_scale"])
+        norm = NormStats(loc=arrays["norm_loc"], scale=arrays["norm_scale"])
     fields = {n: arrays[n] for n in names}
     if mc is not None:
         return GruModel(config=mc, **fields, norm=norm)

@@ -92,7 +92,6 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class MixReport:
-    target_snr_db: float
     achieved_snr_db: float
     noise_scale: float
 
@@ -181,15 +180,11 @@ def mix_at_snr(clean: Signal, noise: Signal, snr_db: float) -> tuple:
     if p_clean == 0.0 or p_noise == 0.0:
         raise DegenerateInputError("clean and noise must not be all-zero")
     if math.isinf(snr_db) and snr_db > 0:
-        report = MixReport(target_snr_db=snr_db, achieved_snr_db=math.inf,
-                           noise_scale=0.0)
-        return clean, report
+        return clean, MixReport(achieved_snr_db=math.inf, noise_scale=0.0)
     scale = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
     mixed = clean.with_samples(clean.samples + scale * noise.samples)
     achieved = 10.0 * math.log10(p_clean / _power(scale * noise.samples))
-    report = MixReport(target_snr_db=float(snr_db), achieved_snr_db=achieved,
-                       noise_scale=scale)
-    return mixed, report
+    return mixed, MixReport(achieved_snr_db=achieved, noise_scale=scale)
 
 
 def compute_metrics(clean: Signal, test: Signal) -> dict:

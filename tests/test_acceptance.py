@@ -436,8 +436,8 @@ def test_criterion_7_evaluation_arithmetic():
     ok = (
         perfect["accuracy"] == 1.0
         and perfect["f1"] == (1.0, 1.0, 1.0)
-        and np.array_equal(np.diag(np.diag(perfect["confusion"].counts)),
-                           perfect["confusion"].counts)
+        and np.array_equal(np.diag(np.diag(perfect["confusion"])),
+                           perfect["confusion"])
         and hand["accuracy"] == 0.75
         and hand["precision"][1] == 0.5
         and hand["recall"][1] == 1.0

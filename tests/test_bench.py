@@ -59,10 +59,6 @@ class TestRunBench:
         for row in result["rows"]:
             assert row["mix_roundtrip_max_db"] < 1e-6
 
-    def test_tables_keyed_by_noise_kind(self):
-        result = self.small_grid()
-        assert set(result["tables"]) == {"awgn", "powerline"}
-
     def test_deterministic(self):
         a = self.small_grid()["rows"]
         b = self.small_grid()["rows"]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestExitCodes:
                    "--out", str(tmp_path / "p.csv")) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "row 2" in err and "'b'" in err
+
+    def test_overflowing_amplitude_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        x = rng_stream(0, "cli-huge").normal(size=(1024, 2)) * [1.0, 1e100]
+        path.write_text("a,b\n" + "".join(f"{p!r},{q!r}\n"
+                                          for p, q in x.tolist()),
+                        encoding="utf-8")
+        out = tmp_path / "f.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("extract-features", "--in", str(path),
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "channel(s) b are not finite" in err and not caught
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_corrupt_model_is_data_error(self, tmp_path, labeled_csv):
         bad = tmp_path / "bad.bin"

@@ -6,7 +6,6 @@ from eegscrub import (
     Recording,
     Signal,
     apply_filter,
-    denormalize,
     epoch_view,
     moving_average,
     normalize,
@@ -162,33 +161,20 @@ class TestSegmentEpochs:
 class TestNormalize:
     def test_zscore_hand_case(self):
         data = np.array([[1.0], [2.0], [3.0]])
-        out, stats = normalize(data, mode="zscore")
+        out, stats = normalize(data)
         assert np.allclose(out[:, 0], [-1.2247448, 0.0, 1.2247448],
                            atol=1e-6)
-        assert stats.mode == "zscore"
-
-    def test_minmax_hand_case(self):
-        out, _ = normalize(np.array([[2.0], [4.0], [6.0]]), mode="minmax")
-        assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
 
     def test_constant_column_zscore(self):
-        out, _ = normalize(np.array([[5.0], [5.0], [5.0]]), mode="zscore")
+        out, _ = normalize(np.array([[5.0], [5.0], [5.0]]))
         assert np.all(out == 0.0)
 
     def test_precomputed_stats_applied_not_recomputed(self):
         train = np.array([[0.0], [2.0]])
-        _, stats = normalize(train, mode="zscore")
-        out, stats2 = normalize(np.array([[4.0]]), mode="zscore",
-                                stats=stats)
+        _, stats = normalize(train)
+        out, stats2 = normalize(np.array([[4.0]]), stats=stats)
         assert stats2 is stats
         assert out[0, 0] == pytest.approx(3.0)  # (4-1)/1
-
-    def test_round_trip(self):
-        rng = rng_stream(0, "norm-roundtrip")
-        data = rng.normal(size=(32, 5)) * 7 + 3
-        out, stats = normalize(data, mode="zscore")
-        back = denormalize(out, stats)
-        assert np.allclose(back, data, rtol=1e-9)
 
 
 class TestMovingAverage:

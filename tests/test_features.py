@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from eegscrub import (
     time_stats,
     welch_psd,
 )
+from eegscrub.errors import NumericDegeneracyError
 
 
 def sine(freq, n=1024, fs=256.0):
@@ -163,6 +166,17 @@ class TestBuildFeatureMatrix:
         )
         matrix = build_feature_matrix(rec, window_s=2.0)
         assert np.all(np.isfinite(matrix.rows))
+
+    def test_overflowing_amplitude_names_its_channels(self):
+        rec = self.make_rec(n=1024)
+        huge = rec.with_channels(
+            ch.with_samples(ch.samples * 1e100) if name in ("AF7", "TP10")
+            else ch for name, ch in zip(rec.channel_names, rec.channels))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDegeneracyError,
+                               match=r"channel\(s\) AF7, TP10 are"):
+                build_feature_matrix(huge, window_s=2.0)
 
 
 class TestFeatureMatrixType:

@@ -139,14 +139,13 @@ class TestForward:
         assert np.all(np.abs(hidden) < 1.0)
 
 
-@pytest.mark.parametrize("mode", ["zscore", "minmax"])
-def test_predict_proba_is_forward_of_normalized_rows(mode):
+def test_predict_proba_is_forward_of_normalized_rows():
     # predict_proba scales inside its padded copy; the bits must be those of
     # core.normalize followed by reshape_to_sequences
     data = blob_dataset(n_per_class=10)
     mc = ModelConfig.for_features(12, 3, hidden_size=8, seed=2)
-    model = replace(init_gru(mc), norm=normalize(data.rows[::2], mode)[1])
-    seqs = reshape_to_sequences(normalize(data.rows, mode, model.norm)[0], mc)
+    model = replace(init_gru(mc), norm=normalize(data.rows[::2])[1])
+    seqs = reshape_to_sequences(normalize(data.rows, model.norm)[0], mc)
     want = _forward_batch(model, seqs)[1]
     assert np.array_equal(model.predict_proba(data.rows).view(np.uint64),
                           want.view(np.uint64))
@@ -356,6 +355,19 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError):
             stratified_split(np.array([0, 1]), (0.5, 0.2, 0.2), seed=0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.integers(2, 40), min_size=1, max_size=4),
+           vf=st.floats(0.01, 0.5), seed=st.integers(0, 2**16))
+    def test_two_way_split_is_three_way_without_its_empty_part(
+            self, counts, vf, seed):
+        # training splits two ways; a three-way split with an empty third
+        # part must give the same rows
+        labels = np.repeat(np.arange(len(counts)), counts)
+        two = stratified_split(labels, (1.0 - vf, vf), seed=seed)
+        three = stratified_split(labels, (1.0 - vf, vf, 0.0), seed=seed)
+        assert len(three[2]) == 0
+        assert all(np.array_equal(a, b) for a, b in zip(two, three[:2]))
+
 
 class TestTrain:
     def test_learns_separable_blobs(self):
@@ -438,7 +450,7 @@ def test_history_rows_are_predict_proba_over_full_splits(kind):
     _, history = fit(3)
     vf = TrainConfig().val_fraction
     splits = dict(zip(("train", "val"), stratified_split(
-        y, (1.0 - vf, vf, 0.0), seed=6)))
+        y, (1.0 - vf, vf), seed=6)))
     for k in (1, 2, 3):
         model, _ = fit(k)
         for split, idx in splits.items():
@@ -532,7 +544,7 @@ class TestEvaluate:
         result = self.eval_with_fixed_predictions([0, 1, 2], [0, 1, 2])
         assert result["accuracy"] == 1.0
         assert result["f1"] == (1.0, 1.0, 1.0)
-        counts = result["confusion"].counts
+        counts = result["confusion"]
         assert np.array_equal(counts, np.eye(3, dtype=int))
 
     def test_hand_count_case(self):
@@ -593,7 +605,6 @@ class TestSerialization:
         loaded = load_model(path)
         assert np.array_equal(model.w, loaded.w)
         assert np.array_equal(model.b, loaded.b)
-        assert loaded.norm.mode == model.norm.mode
         assert np.array_equal(model.norm.loc, loaded.norm.loc)
         assert np.array_equal(model.norm.scale, loaded.norm.scale)
 
@@ -648,7 +659,7 @@ class TestSerialization:
     ])
     def test_norm_length_checked(self, tmp_path, kind, n_loc, n_scale):
         model = self.trained(kind)  # 12 features; the GRU holds 16
-        norm = NormStats("zscore", np.zeros(n_loc), np.ones(n_scale))
+        norm = NormStats(np.zeros(n_loc), np.ones(n_scale))
         path = tmp_path / "model.bin"
         save_model(replace(model, norm=norm), path)
         with pytest.raises(DataFormatError, match="norm_loc and norm_scale"):
@@ -665,6 +676,20 @@ class TestSerialization:
                          + blobs)
         with pytest.raises(DataFormatError, match="n_classes"):
             load_model(path)
+
+    def test_other_norm_mode_is_data_error(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(self.trained("linear"), path)
+        header_line, blobs = path.read_bytes()[len(MODEL_MAGIC):].split(
+            b"\n", 1)
+        header = json.loads(header_line)
+        assert header["config"]["norm_mode"] == "zscore"
+        header["config"]["norm_mode"] = "minmax"
+        path.write_bytes(MODEL_MAGIC + (json.dumps(header) + "\n").encode()
+                         + blobs)
+        with pytest.raises(DataFormatError, match="norm_mode 'minmax'") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
