@@ -2,14 +2,14 @@
 
 These are the primitives every other module builds on. All values are
 immutable after construction (sample buffers are marked read-only), so they
-are safe to share across threads.
+are safe to share across threads. ``apply_filter`` imports scipy on first
+use, so code that never filters never loads it.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as sps
 
 from .errors import DegenerateInputError, InvalidSpecError, TooShortError
 
@@ -151,6 +151,8 @@ class FilterSpec:
 
 def apply_filter(signal: Signal, spec: FilterSpec) -> Signal:
     """Zero-phase (forward-backward) filtering; length and rate preserved."""
+    from scipy import signal as sps
+
     spec.validate_for(signal.fs)
     x = signal.samples
     if len(x) < 3 * spec.order:

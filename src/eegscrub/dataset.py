@@ -206,10 +206,18 @@ def load_feature_csv(path,
 
 
 def save_feature_csv(matrix: FeatureMatrix, path) -> None:
-    """Header of feature names, then a label column of CLASS_NAMES if labeled."""
+    """Header of feature names, then a label column of CLASS_NAMES if labeled.
+
+    A label outside ``[0, len(CLASS_NAMES))`` is an error; no file is
+    written then."""
     header = list(matrix.feature_names)
     texts = None
     if matrix.labels is not None:
+        for row, label in enumerate(matrix.labels):
+            if not 0 <= label < len(CLASS_NAMES):
+                raise DataFormatError(
+                    f"{path}: matrix row {row} has label {label}, outside "
+                    f"[0, {len(CLASS_NAMES)})")
         header.append(_LABEL)
         texts = [CLASS_NAMES[y] for y in matrix.labels]
     write_csv(path, header, matrix.rows, texts)

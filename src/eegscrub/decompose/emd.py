@@ -10,12 +10,13 @@ construction.
 An extremum sits where consecutive nonzero slopes ``x[i + 1] - x[i]`` and
 ``x[j + 1] - x[j]`` change sign, at ``(i + 1 + j) // 2``: the turning sample, or
 the middle of the plateau between them; a maximum when the left slope rises.
+
+scipy's ``CubicSpline`` is imported on first use.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..core import samples_1d
 from ..errors import TooShortError
@@ -57,6 +58,8 @@ def _mirror(idx: np.ndarray, val: np.ndarray, n: int, n_mirror: int = 2):
 
 
 def _envelope(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    from scipy.interpolate import CubicSpline
+
     pos, val = _mirror(idx, x[idx], len(x))
     spline = CubicSpline(pos, val, bc_type="natural")
     return spline(np.arange(len(x)))

@@ -7,14 +7,13 @@ matching the flat feature-vector shape of pre-extracted public datasets.
 ``welch_psd``, ``band_powers``, ``spectral_entropy`` and ``time_stats`` take
 arrays and work along their last axis, so ``build_feature_matrix`` calls each
 of them once on the whole (channels, epochs, window) block cut by
-``core.epoch_view``.
+``core.epoch_view``. ``welch_psd`` imports scipy on first use.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .core import Recording, epoch_view
 from .errors import NumericDegeneracyError
@@ -86,6 +85,8 @@ def welch_psd(x: np.ndarray, fs: float, seg_len: int = 256,
         )
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
+    from scipy import signal as sps
+
     return sps.welch(x, fs=fs, window="hann", nperseg=seg_len,
                      noverlap=int(seg_len * overlap), detrend=False, axis=-1)
 

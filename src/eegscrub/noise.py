@@ -2,14 +2,16 @@
 
 Power is defined as the mean square over the full record, so SNR arithmetic
 is bit-reproducible. Every generator draws from a counter-based stream keyed
-by (seed, kind), making sequences independent of call order.
+by (seed, kind), making sequences independent of call order. scipy is
+imported on first use, by the band-limiting filters of ``baseline_wander``
+and ``emg_burst``; the other kinds and signals shorter than 64 samples
+never load it.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sps
 
 from .core import Signal, pearson
 from .errors import DegenerateInputError, InvalidSpecError
@@ -129,6 +131,8 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
         tone = np.sin(2.0 * np.pi * p["freq"] * t + phase)
         walk = np.cumsum(rng.normal(0.0, 1.0, n))
         if n >= 64 and fs > 2.0:
+            from scipy import signal as sps
+
             # keep the random-walk part band-limited below 1 Hz
             sos = sps.butter(2, min(1.0, 0.45 * fs) / (fs / 2), output="sos")
             walk = sps.sosfiltfilt(sos, walk)
@@ -143,6 +147,8 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
         if high >= nyq:
             high = 0.95 * nyq
         if n >= 64 and low < high:
+            from scipy import signal as sps
+
             sos = sps.butter(4, [low / nyq, high / nyq], btype="bandpass",
                              output="sos")
             raw = sps.sosfiltfilt(sos, raw)

@@ -126,6 +126,18 @@ class TestFeatureCsv:
         assert np.array_equal(back.features.rows, rows)
         assert back.features.labels == (0, 2)
 
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_out_of_range_label_names_row_and_writes_nothing(self, tmp_path,
+                                                            label):
+        matrix = FeatureMatrix(rows=np.zeros((2, 1)), feature_names=("a",),
+                               labels=(0, label))
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DataFormatError) as err:
+            save_feature_csv(matrix, path)
+        msg = str(err.value)
+        assert f"matrix row 1 has label {label}, outside [0, 3)" in msg
+        assert not path.exists()
+
     def test_deterministic_load(self, tmp_path):
         path = self.write(tmp_path, "a,label\n1.5,NEUTRAL\n")
         a = load_feature_csv(path)

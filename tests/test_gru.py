@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eegscrub
@@ -234,7 +234,9 @@ def per_step_loss_and_grad(model, seqs, labels, grad_clip=None):
 
     Three input products and two recurrent products per forward step, and
     every weight gradient accumulated step by step. Returns the loss, the
-    gradients and the probabilities.
+    gradients, the probabilities and, per gradient, the elementwise sum of
+    the absolute values of the terms it adds: the scale of its rounding
+    error, however far those terms cancel.
     """
     b, t_steps, _ = seqs.shape
     h = np.zeros((b, model.wz.shape[0]))
@@ -251,8 +253,11 @@ def per_step_loss_and_grad(model, seqs, labels, grad_clip=None):
     probs = _softmax(flat @ model.w_out.T + model.b_out)
     loss, dlogits = _cross_entropy(probs, labels)
     grads = {"w_out": dlogits.T @ flat, "b_out": dlogits.sum(axis=0)}
+    sizes = {"w_out": np.abs(dlogits).T @ np.abs(flat),
+             "b_out": np.abs(dlogits).sum(axis=0)}
     for name in GATE_PARAM_NAMES:
         grads[name] = np.zeros_like(getattr(model, name))
+        sizes[name] = np.zeros_like(getattr(model, name))
     dh_seq = (dlogits @ model.w_out).reshape(b, t_steps, -1)
     dh_next = np.zeros_like(h)
     for t in range(t_steps - 1, -1, -1):
@@ -267,13 +272,17 @@ def per_step_loss_and_grad(model, seqs, labels, grad_clip=None):
             grads["w" + gate] += d.T @ xt
             grads["u" + gate] += d.T @ rec
             grads["b" + gate] += d.sum(axis=0)
+            sizes["w" + gate] += np.abs(d).T @ np.abs(xt)
+            sizes["u" + gate] += np.abs(d).T @ np.abs(rec)
+            sizes["b" + gate] += np.abs(d).sum(axis=0)
         dh_next = (dh * (1.0 - z) + drh * r + dz @ model.uz
                    + dr @ model.ur)
     if grad_clip is not None:
         norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
         if norm > grad_clip:
             grads = {k: g * (grad_clip / norm) for k, g in grads.items()}
-    return loss, grads, probs
+            sizes = {k: g * (grad_clip / norm) for k, g in sizes.items()}
+    return loss, grads, probs, sizes
 
 
 def max_rel_diff(got, want):
@@ -285,6 +294,9 @@ def max_rel_diff(got, want):
 @given(b=st.integers(1, 6), t=st.integers(1, 6), h=st.integers(1, 6),
        f=st.integers(1, 6), seed=st.integers(0, 2**16),
        grad_clip=st.sampled_from([None, 0.05, 5.0]))
+# bh's terms of about 0.08 cancel to -9.3e-6: a summation-order difference
+# of 1e-17 is 1.1e-12 of the result
+@example(b=2, t=5, h=1, f=1, seed=19197, grad_clip=None)
 def test_stacked_gates_match_per_step_reference(b, t, h, f, seed, grad_clip):
     model = tiny_model(seed=seed, t=t, f=f, h=h)
     rng = rng_stream(seed, "gru-reference")
@@ -293,13 +305,13 @@ def test_stacked_gates_match_per_step_reference(b, t, h, f, seed, grad_clip):
     seqs = rng.normal(size=(b, t, f))
     labels = rng.integers(0, 3, size=b)
     loss, grads = loss_and_grad(model, seqs, labels, grad_clip=grad_clip)
-    ref_loss, ref_grads, ref_probs = per_step_loss_and_grad(
+    ref_loss, ref_grads, ref_probs, sizes = per_step_loss_and_grad(
         model, seqs, labels, grad_clip)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert list(grads) == list(ref_grads)
     for name, want in ref_grads.items():
         assert grads[name].shape == want.shape
-        assert max_rel_diff(grads[name], want) <= 1e-12, name
+        assert np.all(np.abs(grads[name] - want) <= 1e-12 * sizes[name]), name
     probs = model.predict_proba(seqs.reshape(b, t * f))
     assert max_rel_diff(probs, ref_probs) <= 1e-12
 

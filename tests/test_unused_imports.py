@@ -1,5 +1,8 @@
-"""Every module-level import in src/, tests/ and demos/ is used, and every
-module-level definition in the package is named somewhere.
+"""Every import in src/, tests/ and demos/ is used, and every module-level
+definition in the package is named somewhere.
+
+A module-level import must be used somewhere in its module; an import
+inside a ``def`` must be used within that ``def``.
 
 A package ``__init__.py`` is exempt from the import check: its imports are
 the package's public names. A statement marked ``# noqa`` is exempt too, for
@@ -45,25 +48,43 @@ def _used_names(tree: ast.AST) -> set:
     return names
 
 
+def _scoped_imports(tree: ast.Module):
+    """(scope, import) for each module-level import, scoped to the module,
+    and each import inside a ``def``, scoped to the innermost ``def``."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield tree, node
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        pending = list(scope.body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield scope, node
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                pending.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source: str) -> list:
-    """(line, name) for each name a module-level import binds but never uses."""
+    """(line, name) for each name an import binds but never uses: anywhere
+    in the module for a module-level import, within the ``def`` for an
+    import inside one."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    used = _used_names(tree)
     found = []
-    for node in tree.body:
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
+    for scope, node in _scoped_imports(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if any("# noqa" in line
                for line in lines[node.lineno - 1:node.end_lineno]):
             continue
+        used = _used_names(scope)
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
             if name not in used:
                 found.append((node.lineno, name))
-    return found
+    return sorted(found)
 
 
 def _referenced_names(tree: ast.AST) -> set:
@@ -141,8 +162,17 @@ def test_detects_unused_and_honours_noqa():
         "def f(x: 'Path') -> 'Path':\n"
         "    return tau\n"
         "from pathlib import Path\n"
+        "def used_locally():\n"
+        "    from math import e\n"
+        "    return e\n"
+        "def unused_locally():\n"
+        "    if True:\n"
+        "        from math import e\n"
+        "        import json  # noqa\n"
+        "    return 0\n"
     )
-    assert unused_imports(source) == [(1, "os"), (6, "pi"), (7, "osp")]
+    assert unused_imports(source) == [(1, "os"), (6, "pi"), (7, "osp"),
+                                      (16, "e")]
 
 
 @pytest.mark.parametrize("path", PACKAGE_FILES,
