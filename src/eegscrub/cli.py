@@ -44,10 +44,6 @@ from .gru import (
 from .noise import NoiseSpec, gen_noise, mix_at_snr
 
 
-# every method's tunable keywords, each registered once as a denoise flag
-_METHOD_PARAMS = tuple(p for spec in METHODS.values() for p in spec.params)
-
-
 class UsageError(Exception):
     pass
 
@@ -97,7 +93,8 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=sorted(METHOD_IDS))
     p.add_argument("--out", required=True)
     p.add_argument("--fs", type=float, default=256.0)
-    for param in _METHOD_PARAMS:
+    # every method's tunable keywords, each registered once as a flag
+    for param in (p for spec in METHODS.values() for p in spec.params):
         p.add_argument("--" + param.name.replace("_", "-"), type=param.type,
                        default=param.default, choices=param.choices)
     p.add_argument("--ref-noise", action="append", default=None,
@@ -206,12 +203,13 @@ def _cmd_denoise(args, seed: int) -> tuple:
     out, reps = apply_method(args.method, rec,
                              *_method_inputs(args, rec, seed), **params)
     save_raw_csv(out, args.out)
-    config = {
-        "in": str(args.input), "out": str(args.out), "method": args.method,
-        "fs": args.fs, "ref_noise": args.ref_noise,
-        "template_width": args.template_width, "frontal": args.frontal,
-    }
-    config.update({p.name: getattr(args, p.name) for p in _METHOD_PARAMS})
+    config = {"in": str(args.input), "out": str(args.out),
+              "method": args.method, "fs": args.fs, **params}
+    needs = METHODS[args.method].needs  # only the flags the method read
+    if needs == "references":
+        config["ref_noise"] = args.ref_noise
+    elif needs == "template":
+        config.update(template_width=args.template_width, frontal=args.frontal)
     return config, {"reports": [asdict(r) for r in reps]}
 
 
@@ -261,6 +259,7 @@ def _cmd_train(args, seed: int) -> tuple:
     tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                      learning_rate=args.lr, grad_clip=args.grad_clip,
                      val_fraction=args.val_fraction, seed=seed)
+    train_config = asdict(tc)
     if args.model_kind == "gru":
         mc = ModelConfig.for_features(dataset.features.n_features,
                                       len(CLASS_NAMES),
@@ -271,13 +270,14 @@ def _cmd_train(args, seed: int) -> tuple:
         model, history = train_linear_baseline(
             dataset.features, tc, n_classes=len(CLASS_NAMES))
         model_config = {"n_classes": len(CLASS_NAMES)}
+        del train_config["grad_clip"]  # the linear loop never clips
     save_model(model, args.model)
     if args.history:
         write_csv(args.history, list(history[0]),
                   (row.values() for row in history))
     config = {"features": str(args.features), "model": str(args.model),
               "history": args.history, "model_kind": args.model_kind,
-              "model_config": model_config, "train_config": asdict(tc)}
+              "model_config": model_config, "train_config": train_config}
     return config, {"final": history[-1], "n_rows": dataset.features.n_rows}
 
 

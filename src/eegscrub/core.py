@@ -212,6 +212,15 @@ class NormStats:
         cols /= self.scale
         return cols
 
+    @classmethod
+    def of(cls, cols: np.ndarray) -> "NormStats":
+        """The z-score of ``cols``' columns, fitted without scaling a copy."""
+        if cols.size == 0:
+            raise ValueError("cannot normalize empty data")
+        scale = cols.std(axis=0)
+        # constant columns map to zero instead of dividing by zero
+        return cls(cols.mean(axis=0), np.where(scale == 0.0, 1.0, scale))
+
 
 def normalize(data, stats: NormStats | None = None):
     """Column-wise z-score of a 1-D or 2-D array.
@@ -224,9 +233,7 @@ def normalize(data, stats: NormStats | None = None):
         raise ValueError("cannot normalize empty data")
     cols = arr.reshape(-1, 1) if arr.ndim == 1 else arr
     if stats is None:
-        scale = cols.std(axis=0)
-        # constant columns map to zero instead of dividing by zero
-        stats = NormStats(cols.mean(axis=0), np.where(scale == 0.0, 1.0, scale))
+        stats = NormStats.of(cols)
     normed = stats.apply_in_place(cols.copy())
     return normed.reshape(arr.shape), stats
 

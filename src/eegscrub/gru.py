@@ -12,7 +12,6 @@ checked against finite differences in the test suite.
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -27,6 +26,8 @@ MODEL_FORMAT_VERSION = 1
 NORM_MODE = "zscore"  # the one normalization a model file may name
 
 GATE_PARAM_NAMES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
+ADAM_DECAYS = (0.9, 0.999)  # first- and second-moment decay rates
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: float = 5.0
     val_fraction: float = 0.15
     seed: int = 0
@@ -69,9 +67,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        for name in ("beta1", "beta2", "eps", "grad_clip"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.grad_clip > 0:
+            raise ValueError("grad_clip must be positive")
         if not 0.0 < self.val_fraction <= 0.5:
             raise ValueError(
                 f"val_fraction must be in (0, 0.5], got {self.val_fraction}"
@@ -97,13 +94,26 @@ class GruModel:
     b_out: np.ndarray
     norm: NormStats | None = None
 
+    @property
+    def n_classes(self) -> int:
+        return self.config.n_classes
+
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
+        return self._probs(self._inputs(rows))
+
+    def _inputs(self, rows) -> np.ndarray:
         rows = _checked_rows(rows, self.norm)
         seqs = reshape_to_sequences(rows, self.config)
         if self.norm is not None:  # scaled inside the one padded copy
             self.norm.apply_in_place(
                 seqs.reshape(len(rows), -1)[:, : rows.shape[1]])
+        return seqs
+
+    def _probs(self, seqs: np.ndarray) -> np.ndarray:
         return _forward_batch(self, seqs)[1]
+
+    def _loss_and_grad(self, seqs, y, tc: TrainConfig) -> tuple:
+        return loss_and_grad(self, seqs, y, grad_clip=tc.grad_clip)
 
 
 @dataclass(frozen=True)
@@ -114,10 +124,18 @@ class LinearModel:
     norm: NormStats | None = None
 
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
+        return self._probs(self._inputs(rows))
+
+    def _inputs(self, rows) -> np.ndarray:
         x = _checked_rows(rows, self.norm)
-        if self.norm is not None:
-            x = normalize(x, self.norm)[0]
-        return _linear_probs(self, x)
+        return x if self.norm is None else normalize(x, self.norm)[0]
+
+    def _probs(self, x: np.ndarray) -> np.ndarray:
+        return _softmax(x @ self.w.T + self.b)
+
+    def _loss_and_grad(self, x, y, tc: TrainConfig) -> tuple:
+        loss, dlogits = _cross_entropy(self._probs(x), y)
+        return loss, {"w": dlogits.T @ x, "b": dlogits.sum(axis=0)}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -285,30 +303,26 @@ def loss_and_grad(model: GruModel, seqs: np.ndarray, labels: np.ndarray,
 
 
 class _Adam:
-    def __init__(self, tc: TrainConfig):
-        self.tc = tc
-        self.m = {}
-        self.v = {}
-        self.t = 0
+    def __init__(self, learning_rate: float):
+        self.lr, self.m, self.v, self.t = learning_rate, {}, {}, 0
 
     def step(self, model, grads: dict) -> dict:
         """New values of the parameters named in ``grads``."""
-        tc = self.tc
+        d1, d2 = ADAM_DECAYS
         self.t += 1
         out = {}
         for name, g in grads.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] *= tc.beta1
-            self.m[name] += (1 - tc.beta1) * g
-            self.v[name] *= tc.beta2
-            self.v[name] += (1 - tc.beta2) * g**2
-            m_hat = self.m[name] / (1 - tc.beta1**self.t)
-            v_hat = self.v[name] / (1 - tc.beta2**self.t)
-            out[name] = getattr(model, name) - tc.learning_rate * m_hat / (
-                np.sqrt(v_hat) + tc.eps
-            )
+            self.m[name] *= d1
+            self.m[name] += (1 - d1) * g
+            self.v[name] *= d2
+            self.v[name] += (1 - d2) * g**2
+            m_hat = self.m[name] / (1 - d1**self.t)
+            v_hat = self.v[name] / (1 - d2**self.t)
+            out[name] = getattr(model, name) - self.lr * m_hat / (
+                np.sqrt(v_hat) + ADAM_EPS)
         return out
 
 
@@ -352,33 +366,24 @@ def _dataset_arrays(dataset: FeatureMatrix):
     return dataset.rows, np.asarray(dataset.labels, dtype=int)
 
 
-def _check_classes(y: np.ndarray, n_classes: int):
-    present = set(np.unique(y).tolist())
-    missing = sorted(set(range(n_classes)) - present)
-    if missing:
-        raise StratificationError(
-            f"classes {missing} absent from the training data"
-        )
-
-
 def _epoch_stats(probs: np.ndarray, y: np.ndarray) -> tuple:
     loss, _ = _cross_entropy(probs, y)
     return loss, float(np.mean(probs.argmax(axis=1) == y))
 
 
-def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
-         init_model, loss_fn, probs_fn, to_inputs=lambda x: x) -> tuple:
+def _fit(dataset: FeatureMatrix, tc: TrainConfig, model) -> tuple:
     """The shared Adam loop: split, normalize, shuffle, step, history.
 
-    ``init_model(norm)`` builds the starting model around the training-set
-    normalization; ``loss_fn(model, inputs, labels)`` returns the loss and a
-    gradient per parameter name; ``to_inputs`` shapes normalized rows, and
-    ``probs_fn(model, inputs)`` is the model's ``predict_proba`` after that
-    shaping. Both splits are normalized and shaped once, so each history row
-    equals ``predict_proba`` of that epoch's model over the full splits.
+    ``model`` is the untrained ``GruModel`` or ``LinearModel``; it gets the
+    training split's normalization. Each split goes through ``model._inputs``
+    once, so each history row equals ``predict_proba`` of that epoch's model
+    over the full split.
     """
     rows, y = _dataset_arrays(dataset)
-    _check_classes(y, n_classes)
+    missing = sorted(set(range(model.n_classes)) - set(np.unique(y).tolist()))
+    if missing:
+        raise StratificationError(
+            f"classes {missing} absent from the training data")
     train_idx, val_idx = stratified_split(
         y, (1.0 - tc.val_fraction, tc.val_fraction), seed=tc.seed)
     if len(val_idx) == 0:  # val_fraction <= 0.5 always leaves training rows
@@ -386,13 +391,13 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
             f"val_fraction {tc.val_fraction} splits {len(y)} rows into "
             f"{len(train_idx)} training and {len(val_idx)} validation rows "
             f"(smallest class: {np.unique(y, return_counts=True)[1].min()})")
-    x_train, norm = normalize(rows[train_idx])
-    model = init_model(norm)
-    inputs = to_inputs(x_train)
-    del x_train  # the shaped copy is all the loop reads
-    val_inputs = to_inputs(normalize(rows[val_idx], norm)[0])
+    x_train = rows[train_idx]
+    model = replace(model, norm=NormStats.of(x_train))
+    inputs = model._inputs(x_train)
+    del x_train  # the model's inputs are all the loop reads
+    val_inputs = model._inputs(rows[val_idx])
     y_train, y_val = y[train_idx], y[val_idx]
-    adam = _Adam(tc)
+    adam = _Adam(tc.learning_rate)
     history = []
     for epoch in range(tc.epochs):
         order = rng_stream(tc.seed, f"shuffle:{epoch}").permutation(
@@ -400,10 +405,10 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, n_classes: int,
         )
         for start in range(0, len(order), tc.batch_size):
             batch = order[start : start + tc.batch_size]
-            _, grads = loss_fn(model, inputs[batch], y_train[batch])
+            _, grads = model._loss_and_grad(inputs[batch], y_train[batch], tc)
             model = replace(model, **adam.step(model, grads))
-        train_loss, train_acc = _epoch_stats(probs_fn(model, inputs), y_train)
-        val_loss, val_acc = _epoch_stats(probs_fn(model, val_inputs), y_val)
+        train_loss, train_acc = _epoch_stats(model._probs(inputs), y_train)
+        val_loss, val_acc = _epoch_stats(model._probs(val_inputs), y_val)
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "train_acc": train_acc, "val_loss": val_loss,
                         "val_acc": val_acc})
@@ -417,32 +422,19 @@ def train(dataset: FeatureMatrix, mc: ModelConfig, tc: TrainConfig) -> tuple:
         raise ValueError(
             f"need at least {mc.n_classes * 5} samples, got {len(y)}"
         )
-    return _fit(dataset, tc, mc.n_classes,
-                lambda norm: replace(init_gru(mc), norm=norm),
-                partial(loss_and_grad, grad_clip=tc.grad_clip),
-                lambda model, seqs: _forward_batch(model, seqs)[1],
-                lambda x: reshape_to_sequences(x, mc))
-
-
-def _linear_probs(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    return _softmax(x @ model.w.T + model.b)
-
-
-def linear_loss_and_grad(model: LinearModel, x: np.ndarray, y: np.ndarray):
-    loss, dlogits = _cross_entropy(_linear_probs(model, x), y)
-    return loss, {"w": dlogits.T @ x, "b": dlogits.sum(axis=0)}
+    return _fit(dataset, tc, init_gru(mc))
 
 
 def train_linear_baseline(dataset: FeatureMatrix, tc: TrainConfig,
                           n_classes: int = 3) -> tuple:
-    """Softmax regression trained with the same loop; zero-weight init."""
-    def init_model(norm):
-        return LinearModel(n_classes=n_classes,
-                           w=np.zeros((n_classes, dataset.rows.shape[1])),
-                           b=np.zeros(n_classes), norm=norm)
+    """Softmax regression trained with the same loop; zero-weight init.
 
-    return _fit(dataset, tc, n_classes, init_model, linear_loss_and_grad,
-                _linear_probs)
+    The linear loop never clips its gradient; ``tc.grad_clip`` is unused.
+    """
+    model = LinearModel(n_classes=n_classes,
+                        w=np.zeros((n_classes, dataset.rows.shape[1])),
+                        b=np.zeros(n_classes))
+    return _fit(dataset, tc, model)
 
 
 def evaluate(model, dataset: FeatureMatrix) -> dict:

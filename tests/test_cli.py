@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from eegscrub import (
     save_feature_csv,
 )
 from eegscrub.cli import _COMMANDS, build_parser, main
-from eegscrub.denoise import METHOD_IDS
-from eegscrub.gru import MODEL_MAGIC
+from eegscrub.denoise import METHOD_IDS, METHODS
+from eegscrub.gru import MODEL_MAGIC, TrainConfig
 
 
 def run(*argv):
@@ -392,6 +393,23 @@ class TestFeaturePipeline:
                    "5") == 0
         report = read_report(str(model) + ".report.json")
         assert report["config"]["model_kind"] == "linear"
+        # the linear loop never clips, so its report names no clip bound
+        want = asdict(TrainConfig(epochs=5, seed=0))
+        del want["grad_clip"]
+        assert report["config"]["train_config"] == want
+
+    def test_every_train_config_field_is_settable(self, tmp_path,
+                                                  labeled_csv):
+        # a TrainConfig field no flag can move is a setting no one can set
+        model = tmp_path / "model.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), "--hidden", "4", "--epochs", "2",
+                   "--batch-size", "8", "--lr", "0.01", "--grad-clip", "1.5",
+                   "--val-fraction", "0.25", "--seed", "9") == 0
+        got = read_report(str(model) + ".report.json")["config"]["train_config"]
+        default = asdict(TrainConfig())
+        assert set(got) == set(default)
+        assert [k for k in default if got[k] == default[k]] == []
 
 
 class TestBench:
@@ -438,6 +456,13 @@ class TestDenoiseEveryMethod:
         reports = report["results"]["reports"]
         assert reports
         assert all(r["method_id"] == method for r in reports)
+        # the config names only the parameters this method ran with
+        extra = {"references": {"ref_noise"},
+                 "template": {"template_width", "frontal"}}
+        want = ({"in", "out", "method", "fs", "seed"}
+                | {p.name for p in METHODS[method].params}
+                | extra.get(METHODS[method].needs, set()))
+        assert set(report["config"]) == want
 
 
 _GRU_CONFIG = {"seq_len": 16, "feat_dim": 2, "hidden_size": 4,

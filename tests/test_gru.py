@@ -15,6 +15,7 @@ from eegscrub.errors import DataFormatError, StratificationError
 from eegscrub.gru import (
     GATE_PARAM_NAMES,
     MODEL_MAGIC,
+    LinearModel,
     ModelConfig,
     TrainConfig,
     evaluate,
@@ -139,14 +140,22 @@ class TestForward:
         assert np.all(np.abs(hidden) < 1.0)
 
 
-def test_predict_proba_is_forward_of_normalized_rows():
-    # predict_proba scales inside its padded copy; the bits must be those of
-    # core.normalize followed by reshape_to_sequences
+@pytest.mark.parametrize("kind", ["gru", "linear"])
+def test_predict_proba_is_forward_of_normalized_rows(kind):
+    # each model's input rule must give the bits of core.normalize followed
+    # by the model's forward map; the GRU scales inside its padded copy
     data = blob_dataset(n_per_class=10)
-    mc = ModelConfig.for_features(12, 3, hidden_size=8, seed=2)
-    model = replace(init_gru(mc), norm=normalize(data.rows[::2])[1])
-    seqs = reshape_to_sequences(normalize(data.rows, model.norm)[0], mc)
-    want = _forward_batch(model, seqs)[1]
+    norm = normalize(data.rows[::2])[1]
+    x = normalize(data.rows, norm)[0]
+    if kind == "gru":
+        mc = ModelConfig.for_features(12, 3, hidden_size=8, seed=2)
+        model = replace(init_gru(mc), norm=norm)
+        want = _forward_batch(model, reshape_to_sequences(x, mc))[1]
+    else:
+        rng = rng_stream(2, "linear-input-rule")
+        model = LinearModel(n_classes=3, w=rng.normal(size=(3, 12)),
+                            b=rng.normal(size=3), norm=norm)
+        want = _softmax(x @ model.w.T + model.b)
     assert np.array_equal(model.predict_proba(data.rows).view(np.uint64),
                           want.view(np.uint64))
 
