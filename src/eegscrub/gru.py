@@ -164,8 +164,13 @@ def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def _checked_rows(rows, norm: NormStats | None) -> np.ndarray:
-    """Rows as a 2-D float array, as wide as the model's normalization."""
+    """Rows as a 2-D float array, at least one, as wide as the model's
+    normalization."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if not len(rows):
+        width = "" if norm is None else f" of {len(norm.loc)} features"
+        raise DataFormatError(f"the table has 0 rows; the model needs at "
+                              f"least 1 row{width}")
     if norm is not None and rows.shape[1] != len(norm.loc):
         raise DataFormatError(
             f"the table has {rows.shape[1]} features, but the model was "

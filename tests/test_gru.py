@@ -160,6 +160,20 @@ def test_predict_proba_is_forward_of_normalized_rows(kind):
                           want.view(np.uint64))
 
 
+@pytest.mark.parametrize("kind", ["gru", "linear"])
+def test_predict_proba_on_zero_rows_names_count_and_width(kind):
+    norm = normalize(blob_dataset(n_per_class=2).rows)[1]
+    if kind == "gru":
+        model = replace(init_gru(ModelConfig.for_features(12, 3)), norm=norm)
+    else:
+        model = LinearModel(n_classes=3, w=np.zeros((3, 12)), b=np.zeros(3),
+                            norm=norm)
+    with pytest.raises(DataFormatError,
+                       match="has 0 rows; the model needs at least 1 row of "
+                             "12 features"):
+        model.predict_proba(np.empty((0, 12)))
+
+
 class TestLossAndGrad:
     def test_zero_weight_loss_is_ln_c(self):
         from dataclasses import replace
