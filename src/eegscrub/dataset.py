@@ -7,6 +7,8 @@ bad cell in a half-million-row dataset is findable; plain files are parsed by
 floats. A large float matrix is formatted, and a large plain file parsed, in
 shares: one forked process per usable core, each on its own contiguous rows,
 joined before the result is read, with the bytes and values of one process.
+A reader share hands back its row count, parsed text cells and floats, but
+no row numbers: any fault sends the file to the checked reader to be named.
 Reports are JSON with a format-version field; non-finite floats are stored as
 sentinel tokens because strict JSON has none.
 """
@@ -70,10 +72,8 @@ def parse_label(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise ValueError(
-            f"unknown label {text!r} (expected one of {CLASS_NAMES} "
-            f"or an integer)"
-        )
+        raise ValueError(f"unknown label {text!r} (expected one of "
+                         f"{CLASS_NAMES} or an integer)")
     if not 0 <= value < len(CLASS_NAMES):
         raise ValueError(f"label {value} outside [0, {len(CLASS_NAMES)})")
     return value
@@ -82,14 +82,14 @@ def parse_label(text: str) -> int:
 def _parse_block(path, block, row_nums, names) -> np.ndarray:
     """``block`` as float64 by the rules of float(); a block that fails or
     holds a non-finite value is rescanned to name its first bad cell
-    (``row_nums`` ends with its rows)."""
+    (``row_nums`` are its rows' numbers)."""
     try:
         values = np.array(block, dtype=float).reshape(len(block), len(names))
         if np.isfinite(values).all():
             return values
     except ValueError:
         pass
-    for row_num, row in zip(row_nums[len(row_nums) - len(block):], block):
+    for row_num, row in zip(row_nums, block):
         for name, cell in zip(names, row):
             try:
                 what = "" if math.isfinite(float(cell)) else "a finite number"
@@ -175,10 +175,10 @@ def _text_lines(path, start, stop):
             yield from io.TextIOWrapper(io.BytesIO(block), encoding="utf-8")
 
 
-def _read_plain(path, text_column) -> tuple:
+def _read_plain(path, text_column, parse_text) -> tuple:
     """:func:`_read_csv` of a plain file (no ``"``, every non-blank line as
-    wide as the header, no lone CR in the header) of finite numbers, else
-    ValueError. The data lines are cut into shares of whole lines."""
+    wide as the header, no lone CR in the header) of finite numbers and text
+    cells ``parse_text`` accepts, else ValueError; in shares of whole lines."""
     with open(path, "rb") as fh:
         line = fh.readline()
         # text mode would end the header at a lone CR
@@ -197,26 +197,25 @@ def _read_plain(path, text_column) -> tuple:
             fh.readline()
             cuts.append(fh.tell())
         cuts.append(size)
-    k = None if text_idx is None else len(header) - text_idx  # from end
+    # the text cell's place from the end, if it is parsed
+    k = None if None in (text_idx, parse_text) else len(header) - text_idx
     numbers = [i for i in range(len(header)) if i != text_idx]
 
     def read_share(share, out):
-        """Pickles (line count, index of each data line, text cells), then
-        writes the share's floats."""
-        rows, texts, n_lines = [], [], 0
+        """Pickles (row count, parsed text cells), then writes the share's
+        floats."""
+        texts = []
 
         def plain_lines():
-            nonlocal n_lines
-            for n_lines, line in enumerate(
-                    _text_lines(path, cuts[share], cuts[share + 1]), start=1):
+            for line in _text_lines(path, cuts[share], cuts[share + 1]):
                 if line == "\n":
                     continue
                 if ('"' in line or line.count(",") != len(header) - 1
                         or len(line) > csv.field_size_limit()):
                     raise ValueError("a line is not plain")
-                rows.append(n_lines - 1)
                 if k:
-                    texts.append(line.rstrip("\n").rsplit(",", k)[-k])
+                    cell = line.rstrip("\n").rsplit(",", k)[-k]
+                    texts.append(parse_text(cell))
                 yield line
 
         lines = plain_lines()
@@ -228,33 +227,29 @@ def _read_plain(path, text_column) -> tuple:
                                 ndmin=2, usecols=numbers)
         if not np.isfinite(values).all():
             raise ValueError("a non-finite number")
-        pickle.dump((n_lines, rows, texts), out)
+        pickle.dump((len(values), texts), out)
         out.write(values)
 
     with _shares(path, n, read_share) as outs:
-        metas = [pickle.load(out) for out in outs]
-        n_rows = sum(len(rows) for _, rows, _ in metas)
-        if not n_rows:
+        counts, texts = zip(*map(pickle.load, outs))
+        if not sum(counts):
             raise ValueError("no data rows")
-        values = np.empty((n_rows, len(numbers)))
-        row_nums, texts, line_num = [], [], 2
-        for out, (n_lines, rows, share_texts) in zip(outs, metas):
-            out.readinto(values[len(row_nums):len(row_nums) + len(rows)])
-            row_nums += [line_num + j for j in rows]
-            texts += share_texts
-            line_num += n_lines
-    return [header[i] for i in numbers], row_nums, values, texts
+        values = np.empty((sum(counts), len(numbers)))
+        for out, stop, rows in zip(outs, itertools.accumulate(counts), counts):
+            out.readinto(values[stop - rows:stop])
+    return [header[i] for i in numbers], values, [*itertools.chain(*texts)]
 
 
-def _read_csv(path, text_column) -> tuple:
+def _read_csv(path, text_column, parse_text) -> tuple:
     """The one CSV reader. ``text_column(header)`` checks the stripped header
     and returns the index of a column kept as text, or None; a repeated
     column name, a non-finite number and no data rows are errors. Blank rows
-    are skipped. Returns the names of the other columns, the row number of
-    each data row, their cells as a float64 array, and the text cells. Files
-    :func:`_read_plain` refuses are read by csv.reader, naming any fault."""
+    are skipped. Returns the names of the other columns, their cells as a
+    float64 array, and ``parse_text`` of each row's text cell ([] if None).
+    Files :func:`_read_plain` refuses are read by csv.reader, naming any
+    fault; a text cell ``parse_text`` refuses is named after any bad number."""
     with contextlib.suppress(ValueError):  # not plain, or a fault: see below
-        return _read_plain(path, text_column)
+        return _read_plain(path, text_column, parse_text)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         row_nums, texts, parsed, block, names = [], [], [], [], []
@@ -273,24 +268,33 @@ def _read_csv(path, text_column) -> tuple:
                     _parse_block(path, block, row_nums, names)
                     raise DataFormatError(
                         f"{path}: row {row_num}: expected {len(header)} cells, "
-                        f"got {len(row)}"
-                    )
+                        f"got {len(row)}")
                 if text_idx is not None:
-                    texts.append(row.pop(text_idx))
+                    cell = row.pop(text_idx)
+                    if parse_text:
+                        texts.append((row_num, cell))
                 row_nums.append(row_num)
                 block.append(row)
                 if len(block) == _BLOCK_ROWS:
                     parsed.append(_parse_block(path, block, row_nums, names))
-                    block = []
+                    row_nums, block = [], []
         except StopIteration:  # from next(reader): no header
             raise DataFormatError(f"{path}: empty file")
         except csv.Error as exc:  # a malformed row, after earlier rows' faults
             _parse_block(path, block, row_nums, names)
             raise DataFormatError(f"{path}: row {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}")
         parsed.append(_parse_block(path, block, row_nums, names))
-    if not row_nums:
+    values = np.concatenate(parsed)
+    if not len(values):
         raise DataFormatError(f"{path}: no data rows")
-    return names, row_nums, np.concatenate(parsed), texts
+    for i, (row_num, cell) in enumerate(texts):
+        try:
+            texts[i] = parse_text(cell)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_num}: {exc}")
+    return names, values, texts
 
 
 def write_csv(path, header, rows, texts=None) -> None:
@@ -333,13 +337,8 @@ def load_feature_csv(path,
             raise DataFormatError(f"{path}: no feature columns")
         return header.index(_LABEL) if _LABEL in header else None
 
-    names, row_nums, rows, texts = _read_csv(path, label_index)
-    labels = []
-    for row_num, cell in zip(row_nums, texts if require_label else ()):
-        try:
-            labels.append(parse_label(cell))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {row_num}: {exc}")
+    names, rows, labels = _read_csv(path, label_index,
+                                    parse_label if require_label else None)
     matrix = FeatureMatrix(rows=rows, feature_names=tuple(names),
                            labels=labels or None)
     return LabeledDataset(matrix) if labels else matrix
@@ -378,7 +377,7 @@ def load_raw_csv(path, fs: float = 256.0) -> Recording:
             raise DataFormatError(f"{path}: no channel columns")
         return stamp
 
-    names, _, values, _ = _read_csv(path, timestamp_index)
+    names, values, _ = _read_csv(path, timestamp_index, None)
     return Recording(
         channels=tuple(Signal(samples=col, fs=fs) for col in values.T),
         channel_names=tuple(names),
@@ -413,15 +412,12 @@ def _decode(value):
         return {k: _decode(v) for k, v in value.items()}
     if isinstance(value, list):
         return [_decode(v) for v in value]
-    if isinstance(value, str) and value in _TOKENS:
-        return _TOKENS[value]
-    return value
+    return _TOKENS.get(value, value) if isinstance(value, str) else value
 
 
 def write_report(report: dict, path) -> None:
     """JSON key-tree with a format-version field and non-finite sentinels."""
-    body = {"format_version": REPORT_FORMAT_VERSION}
-    body.update(_encode(report))
+    body = {"format_version": REPORT_FORMAT_VERSION, **_encode(report)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -431,12 +427,11 @@ def read_report(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             body = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise DataFormatError(f"{path}: bad report: {exc}")
-    if body.get("format_version") != REPORT_FORMAT_VERSION:
-        raise DataFormatError(
-            f"{path}: unsupported report version {body.get('format_version')}"
-        )
-    decoded = _decode(body)
-    decoded.pop("format_version")
-    return decoded
+    if not isinstance(body, dict):
+        raise DataFormatError(f"{path}: bad report: not a JSON object")
+    version = body.pop("format_version", None)
+    if version != REPORT_FORMAT_VERSION:
+        raise DataFormatError(f"{path}: unsupported report version {version}")
+    return _decode(body)

@@ -68,9 +68,7 @@ class NoiseSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "NoiseSpec":
-        kind = None
-        seed = 0
-        params = {}
+        kind, seed, params = None, 0, {}
         for item in text.split(","):
             item = item.strip()
             if not item:
@@ -81,12 +79,17 @@ class NoiseSpec:
                 )
             key, value = item.split("=", 1)
             key = key.strip()
-            if key == "kind":
-                kind = value.strip()
-            elif key == "seed":
-                seed = int(value)
-            else:
-                params[key] = float(value)
+            try:
+                if key == "kind":
+                    kind = value.strip()
+                elif key == "seed":
+                    seed = int(value)
+                else:
+                    params[key] = float(value)
+            except ValueError:
+                what = "an integer" if key == "seed" else "a number"
+                raise InvalidSpecError(
+                    f"{key} must be {what}, got {item!r} in {text!r}")
         if kind is None:
             raise InvalidSpecError(f"noise spec text needs kind=...: {text!r}")
         return cls(kind=kind, params=params, seed=seed)

@@ -219,6 +219,28 @@ class TestExitCodes:
         assert f"{path}: row {row}: field larger than field limit" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("data", [b"a,b\n1,2\n3,\xe94\n",
+                                      b"a,\xe9\n1,2\n"],
+                             ids=["data_row", "header"])
+    def test_csv_not_utf8_data_error(self, tmp_path, capsys, data):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        out = tmp_path / "out.csv"
+        assert run("denoise", "--in", str(path), "--method", "identity",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_unreadable_noise_seed_data_error(self, tmp_path, capsys):
+        out = tmp_path / "raw.csv"
+        assert run("simulate", "--out", str(out),
+                   "--noise", "kind=awgn,seed=1.5") == 2
+        err = capsys.readouterr().err
+        assert ("seed must be an integer, got 'seed=1.5' in "
+                "'kind=awgn,seed=1.5'") in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_unknown_frontal_channel_usage_error(self, raw_csv, tmp_path,
                                                  capsys):
         out = tmp_path / "out.csv"

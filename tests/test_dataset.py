@@ -13,12 +13,14 @@ from eegscrub import (
     load_feature_csv,
     load_raw_csv,
     read_report,
+    rng_stream,
     save_feature_csv,
     save_raw_csv,
     write_report,
 )
 from eegscrub.dataset import _BLOCK_ROWS, write_csv
 from eegscrub.errors import DataFormatError
+from peak_rss import peak_rise_mib
 
 
 class TestFeatureCsv:
@@ -44,6 +46,12 @@ class TestFeatureCsv:
     def test_unknown_label_names_row(self, tmp_path):
         path = self.write(tmp_path, "a,label\n1.0,NEGATIVE\n2.0,HAPPY\n")
         with pytest.raises(DataFormatError, match="row 3"):
+            load_feature_csv(path)
+
+    def test_bad_number_named_before_an_earlier_bad_label(self, tmp_path):
+        path = self.write(tmp_path, "a,label\n1.0,HAPPY\n2.0,NEUTRAL\n"
+                                    "x,NEUTRAL\n")
+        with pytest.raises(DataFormatError, match="row 4: column 'a'"):
             load_feature_csv(path)
 
     def test_bad_cell_names_row_and_column(self, tmp_path):
@@ -218,6 +226,17 @@ class TestRawCsv:
             load_raw_csv(path)
         assert "b" in str(err.value)
 
+    @pytest.mark.parametrize("data", [b"a,b\n1,2\n3,\xe94\n",
+                                      b"a,\xe9\n1,2\n"],
+                             ids=["data_row", "header"])
+    def test_not_utf8_names_file(self, tmp_path, data):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError) as err:
+            load_raw_csv(path)
+        assert str(err.value) == (f"{path}: not UTF-8 text: "
+                                  f"invalid continuation byte")
+
     def test_fs_override_recorded(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("a\n1.0\n2.0\n", encoding="utf-8")
@@ -236,6 +255,22 @@ class TestRawCsv:
         assert back.channel_names == rec.channel_names
         for a, b in zip(back.channels, rec.channels):
             assert np.array_equal(a.samples, b.samples)
+
+
+def test_twenty_minute_raw_load_stays_small(tmp_path):
+    # 20 minutes of 4 channels at 256 Hz are 9.4 MiB of float64 samples; the
+    # leading time column is dropped, and nothing is kept per row but floats
+    n = 20 * 60 * 256
+    rng = rng_stream(0, "raw-csv-rss")
+    rec = Recording(
+        channels=(Signal(np.arange(n) / 256.0, 256.0),
+                  *(Signal(rng.normal(size=n), 256.0) for _ in range(4))),
+        channel_names=("time", "TP9", "AF7", "AF8", "TP10"))
+    path = tmp_path / "raw.csv"
+    save_raw_csv(rec, path)
+    rise = peak_rise_mib("from eegscrub import load_raw_csv",
+                         f"rec = load_raw_csv({str(path)!r})")
+    assert rise <= 3 * (4 * n * 8 / 2.0**20) + 8.0
 
 
 def rng_values(shape):
@@ -309,6 +344,18 @@ class TestReports:
         assert back["snr_db"] == np.inf
         assert back["neg"] == -np.inf
         assert np.isnan(back["bad"])
+
+    @pytest.mark.parametrize("data, message", [
+        (b"[1, 2]", "not a JSON object"),
+        (b'{"format_version": 1, "name": "\xe9"}', "'utf-8' codec"),
+        (b"{", "Expecting property name"),
+    ], ids=["list", "not_utf8", "truncated"])
+    def test_unreadable_report_names_file(self, tmp_path, data, message):
+        path = tmp_path / "report.json"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError) as err:
+            read_report(path)
+        assert str(err.value).startswith(f"{path}: bad report: {message}")
 
     def test_version_field_injected_and_checked(self, tmp_path):
         path = tmp_path / "report.json"

@@ -1,14 +1,10 @@
 import inspect
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import eegscrub
 from eegscrub import (
     NoiseSpec,
     Recording,
@@ -31,6 +27,7 @@ from eegscrub.bench import make_blink_template
 from eegscrub.denoise import METHOD_IDS, METHODS, apply_method
 from eegscrub.decompose import ssa_decompose, ssa_reconstruct
 from eegscrub.errors import DivergenceError, EegScrubError, TooShortError
+from peak_rss import peak_rise_mib
 
 FS = 256.0
 
@@ -357,13 +354,9 @@ class TestCascadeLms:
                                   "max_abs_weight": [0.0]}
 
 
-_LMS_PEAK_RSS_SCRIPT = """
-import resource
+_LMS_SETUP = """
 import numpy as np
 from eegscrub import Signal, cascade_lms, rng_stream
-
-def peak_mib():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 def pair(n, seed):
     rng = rng_stream(seed, "lms-rss")
@@ -375,21 +368,13 @@ def pair(n, seed):
 primary, ref = pair(2048, 0)
 cascade_lms(primary, [ref])  # BLAS buffers on first use
 primary, ref = pair(153_600, 1)
-before = peak_mib()
-cascade_lms(primary, [ref])
-print(peak_mib() - before)
 """
 
 
 def test_ten_minute_cascade_lms_stays_small():
     # ten minutes of one channel and one reference at 256 Hz: each signal is
     # 1.2 MiB, and a copied window array of N x 16 taps would be 19 MiB
-    src = os.path.dirname(os.path.dirname(eegscrub.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _LMS_PEAK_RSS_SCRIPT],
-                          env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert float(done.stdout) < 8.0
+    assert peak_rise_mib(_LMS_SETUP, "cascade_lms(primary, [ref])") < 8.0
 
 
 class TestBlinkTemplate:

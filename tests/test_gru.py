@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import eegscrub
 from eegscrub import FeatureMatrix, NormStats, rng_stream
 from eegscrub.errors import DataFormatError, StratificationError
 from eegscrub.gru import (
@@ -31,6 +27,7 @@ from eegscrub.gru import (
 )
 from eegscrub.core import normalize
 from eegscrub.gru import _cross_entropy, _forward_batch, _sigmoid, _softmax
+from peak_rss import peak_rise_mib
 
 
 def tiny_model(seed=0, t=3, f=2, h=4, c=3):
@@ -496,14 +493,10 @@ def test_history_rows_are_predict_proba_over_full_splits(kind):
             assert history[k - 1][f"{split}_acc"] == acc
 
 
-_TRAIN_PEAK_RSS_SCRIPT = """
-import resource
+_TRAIN_SETUP = """
 import numpy as np
 from eegscrub import FeatureMatrix, rng_stream
 from eegscrub import gru
-
-def peak_mib():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 def table(n, seed):
     rng = rng_stream(seed, "gru-train-rss")
@@ -520,22 +513,15 @@ def fit_and_predict(data):
 
 fit_and_predict(table(60, 0))  # BLAS buffers on first use
 data = table(1000, 1)
-before = peak_mib()
-fit_and_predict(data)
-print(peak_mib() - before, data.rows.nbytes / 2.0**20)
 """
 
 
 def test_training_holds_one_normalized_copy():
     # a 1000 x 2548 table is 19.4 MiB: the normalized training rows, their
     # padded sequences and the validation rows fit in 2 copies of it
-    src = os.path.dirname(os.path.dirname(eegscrub.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _TRAIN_PEAK_RSS_SCRIPT],
-                          env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    rise_mib, input_mib = map(float, done.stdout.split())
-    assert rise_mib <= 2.0 * input_mib + 16.0
+    input_mib = 1000 * 2548 * 8 / 2.0**20
+    assert peak_rise_mib(_TRAIN_SETUP, "fit_and_predict(data)") <= (
+        2.0 * input_mib + 16.0)
 
 
 class TestLinearBaseline:

@@ -50,6 +50,15 @@ class TestNoiseSpec:
         with pytest.raises(InvalidSpecError):
             NoiseSpec("emg_burst", {"duty": 1.5}, seed=0)
 
+    @pytest.mark.parametrize("text, message", [
+        ("kind=awgn,seed=1.5", "seed must be an integer, got 'seed=1.5'"),
+        ("kind=awgn,sigma=abc", "sigma must be a number, got 'sigma=abc'"),
+    ])
+    def test_unreadable_value_names_item_and_spec(self, text, message):
+        with pytest.raises(InvalidSpecError) as err:
+            NoiseSpec.from_text(text)
+        assert str(err.value) == f"{message} in {text!r}"
+
 
 class TestGenNoise:
     def test_deterministic(self):

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -8,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import eegscrub
 from eegscrub import (
     InvalidSpecError,
     NumericDegeneracyError,
@@ -17,6 +13,7 @@ from eegscrub import (
 )
 from eegscrub.decompose import default_window, ssa_decompose, ssa_reconstruct
 from eegscrub.decompose.ssa import _lag_cov, _row_blocks
+from peak_rss import peak_rise_mib
 
 
 def sine(freq, n=1024, fs=256.0):
@@ -175,13 +172,9 @@ def test_lag_cov_matches_blocked_sum(n, window_frac, kind, seed):
     assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-_PEAK_RSS_SCRIPT = """
-import resource
+_TOP_FOUR_SETUP = """
 import numpy as np
 from eegscrub.decompose import ssa_decompose, ssa_reconstruct
-
-def peak_mib():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 def top_four(samples):
     model = ssa_decompose(samples)
@@ -189,31 +182,17 @@ def top_four(samples):
 
 top_four(np.arange(2048.0) % 7)  # BLAS buffers are allocated on first use
 x = np.sin(np.arange(153_600) * 0.1) + np.arange(153_600) % 5
-before = peak_mib()
-top_four(x)
-print(peak_mib() - before)
 """
 
 
 def test_ten_minute_decomposition_stays_small():
-    # ru_maxrss counts the BLAS operand copies that tracemalloc cannot see,
-    # so the measurement runs in a fresh process
-    src = os.path.dirname(os.path.dirname(eegscrub.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    assert float(done.stdout) < 64.0
+    assert peak_rise_mib(_TOP_FOUR_SETUP, "top_four(x)") < 64.0
 
 
-_SSA_CCA_PEAK_RSS_SCRIPT = """
-import resource
+_SSA_CCA_SETUP = """
 import numpy as np
 from eegscrub import Recording, Signal, rng_stream
 from eegscrub.denoise import remove_muscle_ssa_cca
-
-def peak_mib():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 def recording(n, seed):
     rng = rng_stream(seed, "ssa-cca-rss")
@@ -224,18 +203,11 @@ def recording(n, seed):
 
 remove_muscle_ssa_cca(recording(2048, 0))  # BLAS buffers on first use
 rec = recording(153_600, 1)
-before = peak_mib()
-remove_muscle_ssa_cca(rec)
-print(peak_mib() - before)
 """
 
 
 def test_ten_minute_ssa_cca_stays_small():
     # ten minutes of 4 channels at 256 Hz: each 16 x N array of the 16
     # components or sources is about 19 MiB
-    src = os.path.dirname(os.path.dirname(eegscrub.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _SSA_CCA_PEAK_RSS_SCRIPT],
-                          env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert float(done.stdout) < 100.0
+    rise = peak_rise_mib(_SSA_CCA_SETUP, "remove_muscle_ssa_cca(rec)")
+    assert rise < 100.0
