@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import Recording, Signal
+from .core import Recording, Signal, check_fs
 # the denoisers stay importable from here; the table calls them through
 # eegscrub.denoise
 from .denoise import (  # noqa: F401
@@ -38,6 +38,7 @@ REFERENCE_SEED_OFFSET = 10_000
 
 def make_clean(seed: int, n: int, fs: float, channel: int = 0) -> Signal:
     """Two-tone surrogate EEG (theta + alpha) with seeded phases."""
+    check_fs(fs)
     rng = rng_stream(seed, f"clean:{channel}")
     t = np.arange(n) / fs
     phases = rng.uniform(0.0, 2.0 * np.pi, size=2)
@@ -100,16 +101,17 @@ def run_bench(methods, noise_specs, snrs_db, seeds,
     methods = list(methods)
     specs = [s if isinstance(s, NoiseSpec) else NoiseSpec.from_text(s)
              for s in noise_specs]
+    snrs_db = sorted(float(s) for s in snrs_db)
     seeds = list(seeds)
-    if not methods or not seeds:
-        raise ValueError("need at least one method and one seed")
+    if not (methods and specs and snrs_db and seeds):
+        raise ValueError("need at least one method, noise spec, SNR and seed")
     for m in methods:
         if m not in METHOD_IDS:
             raise ValueError(f"unknown method {m!r}; known: {METHOD_IDS}")
     rows = []
     for method in sorted(methods):
         for spec in sorted(specs, key=lambda s: s.kind):
-            for snr_db in sorted(float(s) for s in snrs_db):
+            for snr_db in snrs_db:
                 draws = [_run_cell_seed(method, spec, snr_db, seed, n, fs)
                          for seed in seeds]
                 med_snr, iqr_snr = _median_iqr([d["snr_db"] for d in draws])

@@ -12,9 +12,9 @@ directly, through a symlink or as a hard link.
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, replace
-from functools import partial
 from typing import Callable, NamedTuple
 
 from .bench import leaderboard_csv_rows, make_blink_template, make_clean, run_bench
@@ -49,6 +49,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -5,0,5 and -.5 are values, not options, as in Python 3.13's argparse
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -65,6 +70,20 @@ def _resolve_seed(value) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    handler: Callable  # (args, seed) -> (config, results)
+    reads: tuple  # dests of the flags naming files the command reads
+    writes: tuple  # dests of the flags naming files the command writes
+    report: str = "{out}.report.json"  # formatted with the parsed flags
+
+
+# every flag naming a file, by dest: (flag, help); all but --history are
+# required, and each lands in the report config under its flag name
+_FILE_FLAGS = {"input": ("in", None), "out": ("out", None),
+               "features": ("features", None), "model": ("model", None),
+               "history": ("history", "per-epoch CSV path")}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="eegscrub",
                      description="EEG artifact removal and emotion "
@@ -76,11 +95,20 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="master seed (fallback: EEGSCRUB_SEED, then 0)")
     common.add_argument("--report", default=None, help="JSON report path")
-    add = partial(parser.add_subparsers(dest="command").add_parser,
-                  parents=[common])
+    subparsers = parser.add_subparsers(dest="command")
 
-    p = add("simulate", help="write a surrogate recording")
-    p.add_argument("--out", required=True)
+    def add(name, command: _Command, text: str, **file_help) -> _Parser:
+        """Register a subcommand, its _Command and one flag per file."""
+        p = subparsers.add_parser(name, parents=[common], help=text)
+        p.set_defaults(run=command)
+        for dest in command.reads + command.writes:
+            flag, flag_help = _FILE_FLAGS[dest]
+            p.add_argument("--" + flag, dest=dest, required=dest != "history",
+                           help=file_help.get(dest, flag_help))
+        return p
+
+    p = add("simulate", _Command(_cmd_simulate, (), ("out",)),
+            "write a surrogate recording")
     p.add_argument("--duration", type=float, default=8.0)
     p.add_argument("--fs", type=float, default=256.0)
     p.add_argument("--channels", type=int, default=4)
@@ -88,10 +116,9 @@ def build_parser() -> _Parser:
                    help="noise spec text, e.g. kind=emg_burst,duty=0.5,seed=7")
     p.add_argument("--snr", type=float, default=0.0)
 
-    p = add("denoise", help="apply one artifact-removal method")
-    p.add_argument("--in", dest="input", required=True)
+    p = add("denoise", _Command(_cmd_denoise, ("input",), ("out",)),
+            "apply one artifact-removal method")
     p.add_argument("--method", required=True, choices=sorted(METHOD_IDS))
-    p.add_argument("--out", required=True)
     p.add_argument("--fs", type=float, default=256.0)
     # every method's tunable keywords, each registered once as a flag
     for param in (p for spec in METHODS.values() for p in spec.params):
@@ -105,7 +132,8 @@ def build_parser() -> _Parser:
                    help="comma-separated frontal channel names for "
                         "blink_template (default: first two channels)")
 
-    p = add("bench", help="run the Monte-Carlo benchmark grid")
+    p = add("bench", _Command(_cmd_bench, (), ("out",)),
+            "run the Monte-Carlo benchmark grid", out="leaderboard CSV path")
     p.add_argument("--methods", default="identity,dwt,emd_maf,ssa_motion,"
                                         "ssa_cca,akf,cascade_lms")
     p.add_argument("--noises",
@@ -117,20 +145,17 @@ def build_parser() -> _Parser:
                    help="number of Monte-Carlo seeds")
     p.add_argument("--n", type=int, default=2048)
     p.add_argument("--fs", type=float, default=256.0)
-    p.add_argument("--out", required=True, help="leaderboard CSV path")
 
-    p = add("extract-features", help="epoch features from raw CSV")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
+    p = add("extract-features", _Command(_cmd_extract, ("input",), ("out",)),
+            "epoch features from raw CSV")
     p.add_argument("--fs", type=float, default=256.0)
     p.add_argument("--window-s", type=float, default=2.0)
     p.add_argument("--overlap", type=float, default=0.5)
     p.add_argument("--label", default=None)
 
-    p = add("train", help="train the GRU or the linear baseline")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--history", default=None, help="per-epoch CSV path")
+    p = add("train", _Command(_cmd_train, ("features",), ("model", "history"),
+                              "{model}.report.json"),
+            "train the GRU or the linear baseline")
     p.add_argument("--model-kind", choices=("gru", "linear"), default="gru")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch-size", type=int, default=32)
@@ -139,14 +164,11 @@ def build_parser() -> _Parser:
     p.add_argument("--val-fraction", type=float, default=0.15)
     p.add_argument("--grad-clip", type=float, default=5.0)
 
-    p = add("eval", help="evaluate a trained model")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
-
-    p = add("predict", help="write per-row class predictions")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    add("eval", _Command(_cmd_eval, ("features", "model"), (),
+                         "{model}.eval-report.json"),
+        "evaluate a trained model")
+    add("predict", _Command(_cmd_predict, ("features", "model"), ("out",)),
+        "write per-row class predictions")
     return parser
 
 
@@ -170,7 +192,7 @@ def _cmd_simulate(args, seed: int) -> tuple:
         names.append(f"ch{c}")
     rec = Recording(channels=tuple(channels), channel_names=tuple(names))
     save_raw_csv(rec, args.out)
-    config = {"out": str(args.out), "duration": args.duration, "fs": args.fs,
+    config = {"duration": args.duration, "fs": args.fs,
               "channels": args.channels,
               "noise": spec.to_text() if spec else None,
               "snr_db": args.snr if spec else None}
@@ -178,13 +200,15 @@ def _cmd_simulate(args, seed: int) -> tuple:
 
 
 def _method_inputs(args, rec: Recording, seed: int) -> tuple:
-    """The references or the template a method needs, built from the flags."""
+    """The references or the template a method needs, built from the flags,
+    and the flags read for them."""
     needs = METHODS[args.method].needs
     if needs == "references":
         specs = [NoiseSpec.from_text(s) for s in
                  (args.ref_noise or ["kind=powerline"])]
-        return ([gen_noise(replace(s, seed=s.seed + seed), rec.n_samples,
-                           rec.fs) for s in specs],)
+        refs = [gen_noise(replace(s, seed=s.seed + seed), rec.n_samples,
+                          rec.fs) for s in specs]
+        return (refs,), {"ref_noise": args.ref_noise}
     if needs == "template":
         frontal = (args.frontal.split(",") if args.frontal
                    else list(rec.channel_names[:2]))
@@ -192,24 +216,19 @@ def _method_inputs(args, rec: Recording, seed: int) -> tuple:
             raise UsageError(f"--frontal must name channels of the recording "
                              f"({', '.join(rec.channel_names)}), got {args.frontal!r}")
         spec = NoiseSpec("blink", {"width": args.template_width}, seed=seed)
-        return make_blink_template(spec, rec.fs), frontal
-    return ()
+        read = {"template_width": args.template_width, "frontal": args.frontal}
+        return (make_blink_template(spec, rec.fs), frontal), read
+    return (), {}
 
 
 def _cmd_denoise(args, seed: int) -> tuple:
     rec = load_raw_csv(args.input, fs=args.fs)
     params = {p.name: getattr(args, p.name)
               for p in METHODS[args.method].params}
-    out, reps = apply_method(args.method, rec,
-                             *_method_inputs(args, rec, seed), **params)
+    inputs, read = _method_inputs(args, rec, seed)  # only the flags it read
+    out, reps = apply_method(args.method, rec, *inputs, **params)
     save_raw_csv(out, args.out)
-    config = {"in": str(args.input), "out": str(args.out),
-              "method": args.method, "fs": args.fs, **params}
-    needs = METHODS[args.method].needs  # only the flags the method read
-    if needs == "references":
-        config["ref_noise"] = args.ref_noise
-    elif needs == "template":
-        config.update(template_width=args.template_width, frontal=args.frontal)
+    config = {"method": args.method, "fs": args.fs, **params, **read}
     return config, {"reports": [asdict(r) for r in reps]}
 
 
@@ -229,8 +248,7 @@ def _cmd_bench(args, seed: int) -> tuple:
     header, *rows = leaderboard_csv_rows(result)
     write_csv(args.out, header, rows)
     config = {"methods": methods, "noises": noises, "snrs_db": snrs,
-              "n_seeds": args.seeds, "n": args.n, "fs": args.fs,
-              "out": str(args.out)}
+              "n_seeds": args.seeds, "n": args.n, "fs": args.fs}
     return config, {"rows": result["rows"]}
 
 
@@ -248,9 +266,8 @@ def _cmd_extract(args, seed: int) -> tuple:
         raise TooShortError(f"{args.input}: a {rec.n_samples / rec.fs:g} s "
                             f"recording holds no full {args.window_s:g} s window")
     save_feature_csv(matrix, args.out)
-    config = {"in": str(args.input), "out": str(args.out), "fs": args.fs,
-              "window_s": args.window_s, "overlap": args.overlap,
-              "label": label}
+    config = {"fs": args.fs, "window_s": args.window_s,
+              "overlap": args.overlap, "label": label}
     return config, {"n_rows": matrix.n_rows, "n_features": matrix.n_features}
 
 
@@ -275,9 +292,8 @@ def _cmd_train(args, seed: int) -> tuple:
     if args.history:
         write_csv(args.history, list(history[0]),
                   (row.values() for row in history))
-    config = {"features": str(args.features), "model": str(args.model),
-              "history": args.history, "model_kind": args.model_kind,
-              "model_config": model_config, "train_config": train_config}
+    config = {"model_kind": args.model_kind, "model_config": model_config,
+              "train_config": train_config}
     return config, {"final": history[-1], "n_rows": dataset.features.n_rows}
 
 
@@ -289,8 +305,7 @@ def _cmd_eval(args, seed: int) -> tuple:
     for i, name in enumerate(CLASS_NAMES):
         print(f"{name}: precision {result['precision'][i]:.4f} "
               f"recall {result['recall'][i]:.4f} f1 {result['f1'][i]:.4f}")
-    config = {"features": str(args.features), "model": str(args.model)}
-    return config, {
+    return {}, {
         "accuracy": result["accuracy"],
         "precision": result["precision"],
         "recall": result["recall"],
@@ -310,34 +325,9 @@ def _cmd_predict(args, seed: int) -> tuple:
               ["row", "label", "class"] + [f"p_{n}" for n in CLASS_NAMES],
               ([i, cls, CLASS_NAMES[cls]] + p for i, (cls, p)
                in enumerate(zip(predicted.tolist(), probs.tolist()))))
-    config = {"features": str(args.features), "model": str(args.model),
-              "out": str(args.out)}
-    return config, {"n_rows": int(len(predicted)),
-                    "class_counts": {CLASS_NAMES[c]: int((predicted == c).sum())
-                                     for c in range(len(CLASS_NAMES))}}
-
-
-class _Command(NamedTuple):
-    handler: Callable  # (args, seed) -> (config, results)
-    reads: tuple  # dests of the flags naming files the command reads
-    writes: tuple  # dests of the flags naming files the command writes
-    report: str  # default report path, formatted with the parsed flags
-
-
-_COMMANDS = {
-    "simulate": _Command(_cmd_simulate, (), ("out",), "{out}.report.json"),
-    "denoise": _Command(_cmd_denoise, ("input",), ("out",),
-                        "{out}.report.json"),
-    "bench": _Command(_cmd_bench, (), ("out",), "{out}.report.json"),
-    "extract-features": _Command(_cmd_extract, ("input",), ("out",),
-                                 "{out}.report.json"),
-    "train": _Command(_cmd_train, ("features",), ("model", "history"),
-                      "{model}.report.json"),
-    "eval": _Command(_cmd_eval, ("features", "model"), (),
-                     "{model}.eval-report.json"),
-    "predict": _Command(_cmd_predict, ("features", "model"), ("out",),
-                        "{out}.report.json"),
-}
+    return {}, {"n_rows": int(len(predicted)),
+                "class_counts": {CLASS_NAMES[c]: int((predicted == c).sum())
+                                 for c in range(len(CLASS_NAMES))}}
 
 
 def _file_identity(path: str):
@@ -373,12 +363,14 @@ def main(argv=None) -> int:
             if isinstance(v, float) and not math.isfinite(v):
                 raise UsageError(f"--{k.replace('_', '-')} must be finite, not {v}")
         seed = _resolve_seed(args.seed)
-        command = _COMMANDS[args.command]
+        command = args.run
         report_path = args.report or command.report.format(**vars(args))
         _check_paths(args, command, report_path)
         config, results = command.handler(args, seed)
+        files = {_FILE_FLAGS[d][0]: getattr(args, d)  # unset --history: None
+                 for d in command.reads + command.writes}
         write_report({"command": args.command,
-                      "config": {**config, "seed": seed},
+                      "config": {**files, **config, "seed": seed},
                       "results": results}, report_path)
         return 0
     except UsageError as exc:

@@ -34,6 +34,14 @@ def samples_1d(values) -> np.ndarray:
     return arr
 
 
+def check_fs(fs) -> float:
+    """``fs`` as a float, refused unless it is positive."""
+    fs = float(fs)
+    if not fs > 0:
+        raise ValueError(f"sampling rate must be positive, got {fs}")
+    return fs
+
+
 @dataclass(frozen=True)
 class Signal:
     """A uniformly sampled waveform (amplitudes in microvolts)."""
@@ -43,11 +51,8 @@ class Signal:
 
     def __post_init__(self):
         arr = samples_1d(self.samples)
-        fs = float(self.fs)
-        if not fs > 0:
-            raise ValueError(f"sampling rate must be positive, got {fs}")
         object.__setattr__(self, "samples", _freeze(arr))
-        object.__setattr__(self, "fs", fs)
+        object.__setattr__(self, "fs", check_fs(self.fs))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -246,12 +251,18 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float | None:
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
 
-def moving_average(x: np.ndarray, width: int) -> np.ndarray:
-    """Centered moving average of 1-D samples with symmetric edge padding."""
-    x = samples_1d(x)
+def odd_width(width) -> int:
+    """``width`` as an int, refused unless it is odd and positive."""
     width = int(width)
     if width < 1 or width % 2 == 0:
         raise ValueError(f"width must be an odd positive integer, got {width}")
+    return width
+
+
+def moving_average(x: np.ndarray, width: int) -> np.ndarray:
+    """Centered moving average of 1-D samples with symmetric edge padding."""
+    x = samples_1d(x)
+    width = odd_width(width)
     if width > len(x):
         raise ValueError(f"width {width} exceeds signal length {len(x)}")
     padded = np.pad(x, width // 2, mode="symmetric")

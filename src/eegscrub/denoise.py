@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Recording, Signal, moving_average, pearson
+from .core import Recording, Signal, moving_average, odd_width, pearson
 from .decompose import cca, dwt_forward, dwt_inverse, emd, ssa_decompose
 from .errors import DivergenceError, NumericDegeneracyError, TooShortError
 
@@ -100,6 +100,7 @@ def denoise_emd_maf(signal: Signal, ma_width: int = 5) -> tuple:
     sits above 30 Hz; a single coherent low tone sharing the mode (boundary
     mixing) must not shield an EMG-dominated IMF from smoothing.
     """
+    odd_width(ma_width)  # checked before EMD, so it fails on any input
     imf_set = emd(signal.samples)
     total = imf_set.residual  # a new array, so the sum can build on it
     smoothed = []

@@ -524,8 +524,8 @@ def _header_problem(header) -> str | None:
         return f"unsupported norm_mode {config['norm_mode']!r} (want {NORM_MODE!r})"
     keys, arrays = _MODEL_LAYOUT[header["kind"]]
     names = {name for name, _ in manifest}
-    if "norm_loc" in names:
-        arrays += ("norm_scale",)
+    if names & {"norm_loc", "norm_scale"}:  # both or neither
+        arrays += ("norm_loc", "norm_scale")
     missing = ([k for k in keys if not isinstance(config.get(k), int)]
                + [n for n in arrays if n not in names])
     return f"model header lacks {', '.join(missing)}" if missing else None

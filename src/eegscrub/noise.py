@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Signal, pearson
+from .core import Signal, check_fs, pearson
 from .errors import DegenerateInputError, InvalidSpecError
 from .rng import rng_stream
 
@@ -120,6 +120,7 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    check_fs(fs)
     rng = rng_stream(spec.seed, spec.kind)
     t = np.arange(n) / fs
     p = spec.params

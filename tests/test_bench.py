@@ -19,6 +19,11 @@ class TestMakeClean:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, other.samples)
 
+    @pytest.mark.parametrize("fs", [0.0, -256.0])
+    def test_non_positive_fs_refused(self, fs):
+        with pytest.raises(ValueError, match="sampling rate must be positive"):
+            make_clean(0, 256, fs)
+
     def test_band_limited(self):
         x = make_clean(0, 2048, 256.0, channel=0)
         spec = np.abs(np.fft.rfft(x.samples)) ** 2
@@ -67,6 +72,19 @@ class TestRunBench:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_bench(["nonsense"], ["kind=awgn"], [0.0], [0], n=512)
+
+    @pytest.mark.parametrize("empty", range(4))
+    def test_empty_grid_axis_refused(self, empty):
+        axes = [["identity"], ["kind=awgn"], [0.0], [0]]
+        axes[empty] = []
+        with pytest.raises(ValueError, match="need at least one method, "
+                                             "noise spec, SNR and seed"):
+            run_bench(*axes, n=512)
+
+    def test_snrs_may_be_an_iterator(self):
+        rows = run_bench(["identity", "dwt"], ["kind=awgn"], iter([0.0]),
+                         [0], n=512)["rows"]
+        assert [r["method"] for r in rows] == ["dwt", "identity"]
 
     def test_row_ordering_sorted(self):
         rows = self.small_grid()["rows"]

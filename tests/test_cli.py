@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +16,41 @@ from eegscrub import (
     rng_stream,
     save_feature_csv,
 )
-from eegscrub.cli import _COMMANDS, build_parser, main
+from eegscrub.cli import build_parser, main
 from eegscrub.denoise import METHOD_IDS, METHODS
 from eegscrub.gru import MODEL_MAGIC, TrainConfig
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def subparsers() -> dict:
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return sub.choices
+
+
+def declared_files(name: str) -> tuple:
+    """Dests of the flags naming the files a subcommand reads, then writes."""
+    command = subparsers()[name].get_default("run")
+    return command.reads + command.writes
+
+
+DECLARED_FILES = [(name, dest) for name in subparsers()
+                  for dest in declared_files(name)]
+
+
+def documented_commands() -> list:
+    """The arguments of every `eegscrub ...` line in the README's bash
+    blocks and in demos/07_cli_pipeline.sh, continuations joined."""
+    root = Path(__file__).resolve().parent.parent
+    texts = re.findall(r"```bash\n(.*?)```", flags=re.S,
+                       string=(root / "README.md").read_text(encoding="utf-8"))
+    texts.append((root / "demos" / "07_cli_pipeline.sh").read_text(
+        encoding="utf-8"))
+    return [shlex.split(line)[1:] for text in texts
+            for line in text.replace("\\\n", " ").splitlines()
+            if line.lstrip().startswith("eegscrub ")]
 
 
 @pytest.fixture
@@ -136,10 +167,31 @@ class TestExitCodes:
         assert "val_fraction" in capsys.readouterr().err
         assert not model.exists()
 
-    def test_command_table_names_every_subcommand(self):
-        parser = build_parser()
-        (sub,) = [a for a in parser._actions if a.dest == "command"]
-        assert set(sub.choices) == set(_COMMANDS)
+    @pytest.mark.parametrize("command, dest", DECLARED_FILES,
+                             ids=[f"{c}-{d}" for c, d in DECLARED_FILES])
+    def test_report_on_a_declared_file_refused(self, tmp_path, capsys,
+                                               command, dest):
+        sub = subparsers()[command]
+        flags = {a.dest: a.option_strings[0] for a in sub._actions}
+        reads = sub.get_default("run").reads
+        argv = [command] + ["--method", "identity"] * (command == "denoise")
+        for d in declared_files(command):
+            path = tmp_path / f"{d}.file"
+            if d in reads:
+                path.write_bytes(b"input bytes")
+            argv += [flags[d], str(path)]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run(*argv, "--report", str(tmp_path / f"{dest}.file")) == 1
+        kind = "input" if dest in reads else "output"
+        assert f"refusing to overwrite {kind} file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_every_documented_command_parses(self):
+        commands = documented_commands()
+        # every subcommand is shown, so a missed block cannot pass unseen
+        assert {argv[0] for argv in commands} == set(subparsers())
+        for argv in commands:
+            build_parser().parse_args(argv)
 
     def test_repeated_channel_names_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
@@ -257,6 +309,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--snrs must be finite numbers, got '0,x'" in err
         assert not out.exists()
+
+    def test_even_ma_width_refused_on_clean_recording(self, tmp_path,
+                                                    capsys):
+        raw, out = tmp_path / "clean8.csv", tmp_path / "out.csv"
+        assert run("simulate", "--out", str(raw), "--duration", "8") == 0
+        assert run("denoise", "--in", str(raw), "--method", "emd_maf",
+                   "--ma-width", "4", "--out", str(out)) == 2
+        assert "odd positive integer, got 4" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "out.csv.report.json").exists()
 
     def test_window_longer_than_recording_data_error(self, tmp_path, raw_csv,
                                                      capsys):
@@ -446,6 +508,34 @@ class TestBench:
         report = read_report(str(out) + ".report.json")
         assert report["config"]["n_seeds"] == 2
         assert len(report["results"]["rows"]) == 2
+
+    @pytest.mark.parametrize("form", [["--snrs", "-5,0,5"],
+                                      ["--snrs=-5,0,5"]])
+    def test_negative_snrs_value(self, tmp_path, form):
+        out = tmp_path / "leaderboard.csv"
+        assert run("bench", "--methods", "identity", "--noises", "kind=awgn",
+                   *form, "--seeds", "1", "--n", "256",
+                   "--out", str(out)) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [row.split(",")[2] for row in rows] == ["-5.0", "0.0", "5.0"]
+
+    def test_snrs_without_value_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "leaderboard.csv"
+        assert run("bench", "--snrs", "--seeds", "2", "--out", str(out)) == 1
+        assert "--snrs: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--noises=", "need at least one method, noise spec, SNR and seed"),
+        ("--snrs=", "need at least one method, noise spec, SNR and seed"),
+        ("--fs=0", "sampling rate must be positive, got 0.0"),
+    ], ids=["noises", "snrs", "fs"])
+    def test_empty_grid_data_error(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "leaderboard.csv"
+        assert run("bench", "--methods", "identity", "--seeds", "1", "--n",
+                   "256", flag, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_cascade_lms_on_full_duty_emg(self, tmp_path):
         out = tmp_path / "leaderboard.csv"

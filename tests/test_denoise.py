@@ -101,6 +101,12 @@ class TestEmdMaf:
         out, _ = denoise_emd_maf(x)
         assert np.array_equal(out.samples, x.samples)
 
+    @pytest.mark.parametrize("width", [4, 0, -3])
+    def test_bad_width_refused_when_no_imf_is_smoothed(self, width):
+        # a clean sine has no IMF above 30 Hz, so the width is never used
+        with pytest.raises(ValueError, match=f"odd positive integer, got {width}"):
+            denoise_emd_maf(sine(5.0), ma_width=width)
+
 
 class TestSsaMotion:
     def drifted(self, seed):

@@ -686,6 +686,29 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match="norm_loc and norm_scale"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", ["gru", "linear"])
+    @pytest.mark.parametrize("name", ["norm_loc", "norm_scale"])
+    def test_norm_arrays_held_together(self, tmp_path, kind, name):
+        # a file holding one of the pair must not load as an unscaled model
+        path = tmp_path / "model.bin"
+        save_model(self.trained(kind), path)
+        header_line, blobs = path.read_bytes()[len(MODEL_MAGIC):].split(
+            b"\n", 1)
+        header = json.loads(header_line)
+        kept, offset = [], 0
+        for entry in list(header["manifest"]):
+            size = 8 * int(np.prod(entry[1]))
+            if entry[0] == name:
+                header["manifest"].remove(entry)
+            else:
+                kept.append(blobs[offset:offset + size])
+            offset += size
+        path.write_bytes(MODEL_MAGIC + (json.dumps(header) + "\n").encode()
+                         + b"".join(kept))
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: model header lacks {name}"
+
     def test_invalid_config_is_data_error(self, tmp_path):
         path = tmp_path / "model.bin"
         save_model(self.trained("gru"), path)

@@ -101,6 +101,11 @@ class TestGenNoise:
         x = gen_noise(NoiseSpec("blink", {}, seed=seed), 2048, 256.0).samples
         assert np.any(x != 0.0)
 
+    @pytest.mark.parametrize("fs", [0.0, -256.0])
+    def test_non_positive_fs_refused(self, fs):
+        with pytest.raises(ValueError, match="sampling rate must be positive"):
+            gen_noise(NoiseSpec("awgn", {}, seed=0), 256, fs)
+
     def test_blink_rate_zero_is_silent(self):
         spec = NoiseSpec("blink", {"rate": 0.0}, seed=0)
         assert np.all(gen_noise(spec, 2048, 256.0).samples == 0.0)
