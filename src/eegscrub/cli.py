@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from typing import Callable, NamedTuple
 
 from .bench import leaderboard_csv_rows, make_blink_template, make_clean, run_bench
-from .core import Recording
+from .core import Recording, check_fs
 from .dataset import (
     CLASS_NAMES,
     load_feature_csv,
@@ -30,7 +30,7 @@ from .dataset import (
     write_report,
 )
 from .denoise import METHOD_IDS, METHODS, apply_method
-from .errors import EegScrubError, TooShortError
+from .errors import EegScrubError, InvalidSpecError, TooShortError
 from .features import build_feature_matrix
 from .gru import (
     ModelConfig,
@@ -173,7 +173,12 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args, seed: int) -> tuple:
-    n = int(round(args.duration * args.fs))
+    samples = args.duration * check_fs(args.fs)
+    if not 0.5 < samples < math.inf:  # so round() gives an int >= 1
+        raise InvalidSpecError(
+            f"--duration {args.duration:g} at --fs {args.fs:g} gives "
+            f"{samples:g} samples, need a finite count >= 1")
+    n = int(round(samples))
     channels, names = [], []
     spec = NoiseSpec.from_text(args.noise) if args.noise else None
     mix_info = []

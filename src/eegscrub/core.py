@@ -2,10 +2,11 @@
 
 These are the primitives every other module builds on. All values are
 immutable after construction (sample buffers are marked read-only), so they
-are safe to share across threads. ``apply_filter`` imports scipy on first
-use, so code that never filters never loads it.
+are safe to share across threads. ``apply_filter`` and ``butter_sos`` import
+scipy on first use, so code that never filters never loads it.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -154,6 +155,22 @@ class FilterSpec:
             raise InvalidSpecError(f"bandpass needs low < high, got {self.edges}")
 
 
+@functools.lru_cache(maxsize=64)
+def _butter_design(order: int, band, kind: str, fs: float) -> np.ndarray:
+    from scipy import signal as sps
+
+    sos = sps.butter(order, band, btype=kind, output="sos", fs=fs)
+    sos.flags.writeable = False
+    return sos
+
+
+def butter_sos(order: int, band, kind: str, fs: float) -> np.ndarray:
+    """Second-order sections of a Butterworth ``kind`` filter with corner(s)
+    ``band`` in Hz. Each design is computed once; every caller gets its own
+    writeable copy, as ``sosfiltfilt`` refuses a read-only one."""
+    return _butter_design(order, band, kind, fs).copy()
+
+
 def apply_filter(signal: Signal, spec: FilterSpec) -> Signal:
     """Zero-phase (forward-backward) filtering; length and rate preserved."""
     from scipy import signal as sps
@@ -173,8 +190,7 @@ def apply_filter(signal: Signal, spec: FilterSpec) -> Signal:
         y = sps.filtfilt(b, a, x, padlen=padlen)
     else:
         wn = spec.edges if spec.kind == "bandpass" else spec.edges[0]
-        sos = sps.butter(spec.order, wn, btype=spec.kind, output="sos",
-                         fs=signal.fs)
+        sos = butter_sos(spec.order, wn, spec.kind, signal.fs)
         padlen = 3 * (2 * sos.shape[0] + 1)
         if len(x) <= padlen:
             raise TooShortError(f"need more than {padlen} samples for this design")

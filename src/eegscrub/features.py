@@ -6,8 +6,9 @@ matching the flat feature-vector shape of pre-extracted public datasets.
 
 ``welch_psd``, ``band_powers``, ``spectral_entropy`` and ``time_stats`` take
 arrays and work along their last axis, so ``build_feature_matrix`` calls each
-of them once on the whole (channels, epochs, window) block cut by
-``core.epoch_view``. ``welch_psd`` imports scipy on first use.
+of them once per block of epochs cut by ``core.epoch_view``: a block stacks
+at most ``_BLOCK_BYTES`` of samples across all channels, so memory does not
+grow with the recording. ``welch_psd`` imports scipy on first use.
 """
 
 import math
@@ -29,6 +30,7 @@ STAT_NAMES = ("mean", "variance", "min", "max", "skewness", "kurtosis")
 FEATURE_NAMES = tuple(b[0] for b in BANDS) + ("entropy",) + STAT_NAMES
 FEATURES_PER_CHANNEL = len(FEATURE_NAMES)
 _MIN_SEG_LEN = 8  # shortest Welch segment, so the shortest feature window
+_BLOCK_BYTES = 1 << 20  # bytes of samples per block, over all channels
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,13 @@ def time_stats(x: np.ndarray) -> dict:
     if x.shape[-1] < 2:
         raise ValueError("need at least 2 samples")
     mean = x.mean(axis=-1)
-    var = x.var(axis=-1)
+    centered = x - mean[..., None]
+    squared = centered * centered  # products: numpy's ** 3 and ** 4 call pow
+    var = squared.mean(axis=-1)
     degenerate = var == 0.0
     safe_var = np.where(degenerate, 1.0, var)
-    centered = x - mean[..., None]
-    skew = np.mean(centered**3, axis=-1) / np.sqrt(safe_var)**3
-    kurt = np.mean(centered**4, axis=-1) / safe_var**2 - 3.0
+    skew = np.mean(squared * centered, axis=-1) / np.sqrt(safe_var)**3
+    kurt = np.mean(squared * squared, axis=-1) / safe_var**2 - 3.0
     return {
         "mean": mean,
         "variance": var,
@@ -147,18 +150,20 @@ def build_feature_matrix(
     NumericDegeneracyError names each channel whose features overflow."""
     names = tuple(f"{ch}_{feat}" for ch in rec.channel_names
                   for feat in FEATURE_NAMES)
-    epochs = np.stack([epoch_view(ch.samples, rec.fs, window_s, overlap,
-                                  min_len=_MIN_SEG_LEN)
-                       for ch in rec.channels])
-    _, n_epochs, win = epochs.shape
+    views = [epoch_view(ch.samples, rec.fs, window_s, overlap,
+                        min_len=_MIN_SEG_LEN) for ch in rec.channels]
+    n_epochs, win = views[0].shape
     labels = None if label is None else (int(label),) * n_epochs
-    if n_epochs == 0:
-        return FeatureMatrix(np.empty((0, len(names))), names, labels)
+    feats = np.empty((len(views), n_epochs, FEATURES_PER_CHANNEL))
+    step = max(1, _BLOCK_BYTES // (len(views) * win * views[0].itemsize))
     with np.errstate(over="ignore", invalid="ignore"):  # named below
-        freqs, psd = welch_psd(epochs, rec.fs, seg_len=min(256, win))
-        stats = time_stats(epochs)
-        feats = np.stack([*band_powers(freqs, psd), spectral_entropy(psd),
-                          *(stats[name] for name in STAT_NAMES)], axis=-1)
+        for start in range(0, n_epochs, step):
+            block = np.stack([v[start:start + step] for v in views])
+            freqs, psd = welch_psd(block, rec.fs, seg_len=min(256, win))
+            stats = time_stats(block)
+            feats[:, start:start + step] = np.stack(
+                [*band_powers(freqs, psd), spectral_entropy(psd),
+                 *(stats[name] for name in STAT_NAMES)], axis=-1)
     bad = [name for name, f in zip(rec.channel_names, feats)
            if not np.isfinite(f).all()]
     if bad:

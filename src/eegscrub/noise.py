@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Signal, check_fs, pearson
+from .core import Signal, butter_sos, check_fs, pearson
 from .errors import DegenerateInputError, InvalidSpecError
 from .rng import rng_stream
 
@@ -138,7 +138,7 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
             from scipy import signal as sps
 
             # keep the random-walk part band-limited below 1 Hz
-            sos = sps.butter(2, min(1.0, 0.45 * fs) / (fs / 2), output="sos")
+            sos = butter_sos(2, min(1.0, 0.45 * fs), "lowpass", fs)
             walk = sps.sosfiltfilt(sos, walk)
         scale = np.abs(walk).max()
         if scale > 0:
@@ -153,8 +153,7 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
         if n >= 64 and low < high:
             from scipy import signal as sps
 
-            sos = sps.butter(4, [low / nyq, high / nyq], btype="bandpass",
-                             output="sos")
+            sos = butter_sos(4, (low, high), "bandpass", fs)
             raw = sps.sosfiltfilt(sos, raw)
         burst = max(1, int(round(0.25 * fs)))  # 250 ms on-bursts
         on = rng.uniform(size=math.ceil(n / burst)) < p["duty"]

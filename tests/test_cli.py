@@ -382,6 +382,20 @@ class TestSimulate:
         for mix in mixes:
             assert abs(mix["achieved_snr_db"]) < 1e-6
 
+    @pytest.mark.parametrize("duration, fs, message", [
+        ("0.001", "256", "--duration 0.001 at --fs 256 gives 0.256 samples"),
+        ("-1", "256", "--duration -1 at --fs 256 gives -256 samples"),
+        ("0.5", "1", "--duration 0.5 at --fs 1 gives 0.5 samples"),
+        ("1e308", "256", "--duration 1e+308 at --fs 256 gives inf samples"),
+    ])
+    def test_no_samples_data_error(self, tmp_path, capsys, duration, fs,
+                                   message):
+        assert run("simulate", "--out", str(tmp_path / "raw.csv"),
+                   f"--duration={duration}", "--fs", fs) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message}, need a finite count >= 1\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EEGSCRUB_SEED", "42")
         out = tmp_path / "env.csv"

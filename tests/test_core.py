@@ -11,6 +11,7 @@ from eegscrub import (
     normalize,
     rng_stream,
 )
+from eegscrub.core import _butter_design, butter_sos
 from eegscrub.decompose import (
     dwt_forward,
     dwt_inverse,
@@ -125,6 +126,16 @@ class TestApplyFilter:
         rhs = (2.0 * apply_filter(x, spec).samples
                + 3.0 * apply_filter(y, spec).samples)
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
+
+    def test_design_shared_but_copies_writeable(self):
+        first = butter_sos(4, (8.0, 13.0), "bandpass", 256.0)
+        first[:] = 0.0  # a caller's edits reach no other caller
+        again = butter_sos(4, (8.0, 13.0), "bandpass", 256.0)
+        assert again.flags.writeable and again is not first
+        assert not np.array_equal(again, first)
+        hits = _butter_design.cache_info().hits
+        butter_sos(4, (8.0, 13.0), "bandpass", 256.0)
+        assert _butter_design.cache_info().hits == hits + 1
 
     def test_zero_phase(self):
         # in-band sine passes with zero lag at the cross-correlation peak

@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +13,14 @@ from eegscrub import (
     Signal,
     band_powers,
     build_feature_matrix,
+    features,
     rng_stream,
     spectral_entropy,
     time_stats,
     welch_psd,
 )
 from eegscrub.errors import NumericDegeneracyError
+from peak_rss import peak_rise_mib
 
 
 def sine(freq, n=1024, fs=256.0):
@@ -110,6 +114,38 @@ class TestTimeStats:
         assert abs(stats["skewness"]) < 0.1
         assert abs(stats["kurtosis"]) < 0.2  # excess kurtosis near 0
 
+    def test_moments_match_exact_arithmetic(self):
+        # The float mean is off by about eps * |mean|; that shift of every
+        # centered sample moves skewness by about 3 * shift / sd in any
+        # float method, so the bound grows with |mean| / sd.
+        rng = rng_stream(3, "stats-exact")
+        eps = np.finfo(float).eps
+        for trial in range(120):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            offset = scale * (0, 1, -10, 100)[trial % 4]
+            draw = (rng.normal, rng.exponential, rng.uniform)[trial % 3]
+            x = offset + scale * draw(size=int(rng.integers(3, 65)))
+            skew, kurt, mean, sd = exact_moments(x)
+            stats = time_stats(x)
+            cond = 8 * eps * (1 + abs(mean) / sd)
+            assert abs(stats["skewness"] - skew) <= cond * max(1, abs(skew))
+            assert abs(stats["kurtosis"] - kurt) <= cond * (kurt + 3)
+
+
+def exact_moments(x):
+    """Skewness, excess kurtosis, mean and standard deviation of the float
+    values in ``x``, from exact rational sums; each square root is taken to
+    40 digits before the one rounding to float."""
+    values = [Fraction(v) for v in x.tolist()]
+    mean = sum(values) / len(values)
+    m2, m3, m4 = (sum((v - mean) ** k for v in values) / len(values)
+                  for k in (2, 3, 4))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        sd = (Decimal(m2.numerator) / Decimal(m2.denominator)).sqrt()
+        skew = Decimal(m3.numerator) / Decimal(m3.denominator) / sd**3
+    return float(skew), float(m4 / m2**2 - 3), float(mean), float(sd)
+
 
 class TestBuildFeatureMatrix:
     def make_rec(self, n=512, n_ch=4):
@@ -177,6 +213,39 @@ class TestBuildFeatureMatrix:
             with pytest.raises(NumericDegeneracyError,
                                match=r"channel\(s\) AF7, TP10 are"):
                 build_feature_matrix(huge, window_s=2.0)
+
+    def test_rows_independent_of_block_size(self, monkeypatch):
+        # 4 channels of 2 s windows at 50 % overlap: 202 epochs, three full
+        # default blocks and a partial fourth
+        rec = self.make_rec(n=512 + 256 * 201)
+        per_block = features._BLOCK_BYTES // (4 * 512 * 8)
+        default = build_feature_matrix(rec, window_s=2.0, overlap=0.5)
+        assert 3 * per_block < default.n_rows < 4 * per_block
+        for block_bytes in (1, 1 << 40):  # an epoch a block; one block
+            monkeypatch.setattr(features, "_BLOCK_BYTES", block_bytes)
+            rows = build_feature_matrix(rec, window_s=2.0, overlap=0.5).rows
+            assert np.array_equal(rows, default.rows)
+
+
+_FEATURES_SETUP = """
+import numpy as np
+from eegscrub import Recording, Signal, build_feature_matrix, rng_stream
+
+def recording(n):
+    rng = rng_stream(0, "features-rss")
+    return Recording(tuple(Signal(rng.normal(size=n), 256.0)
+                           for _ in range(4)), ("TP9", "AF7", "AF8", "TP10"))
+
+build_feature_matrix(recording(2048), 2.0, 0.5)  # scipy loads on first use
+rec = recording(20 * 60 * 256)
+"""
+
+
+def test_twenty_minute_features_stay_in_proportion():
+    # memory in proportion to the input: at most 4x its bytes plus 32 MiB
+    input_mib = 4 * 20 * 60 * 256 * 8 / 2**20
+    rise = peak_rise_mib(_FEATURES_SETUP, "build_feature_matrix(rec, 2.0, 0.5)")
+    assert rise <= 4 * input_mib + 32
 
 
 class TestFeatureMatrixType:

@@ -77,4 +77,4 @@ def test_readme_chain_features_pinned(tmp_path, monkeypatch):
                   "--label", "NEUTRAL"]):
         assert cli.main(argv) == 0
     with open(feats, "rb") as fh:
-        assert digest(fh.read()) == "352c7a8f6ee78a41"
+        assert digest(fh.read()) == "23754eb6737c5ae5"
