@@ -14,10 +14,17 @@ those steps. Both triangles hold the same numbers, so C is exactly symmetric.
 The sums round differently from the product X X^T: on noisy, two-tone and
 large-offset signals C differs from the sum of X's column-block products by
 at most a few 1e-15 of max|C|. Those blocks are still used, but only to
-re-measure eigenvalues too small for C to resolve. Component i, the diagonal
-average of u_i u_i^T X, is built only on request, as a convolution of u_i
-with the sliding dot product u_i^T X; the eigenvectors are orthonormal, so
-all components sum to the signal.
+re-measure eigenvalues too small for C to resolve. A caller that reads only
+the first k components passes ``leading=k`` and gets a model of those alone.
+When the k-th eigenvalue is above twice the re-measure tolerance, the
+re-measure is skipped: a re-measured tail value exceeds the tolerance by at
+most C's rounding, about 1e-12 of the largest eigenvalue, so it cannot
+overtake component k-1, and the k components are bit for bit the full
+model's. A caller that reads the whole spectrum, as a sum over all singular
+values does, passes nothing. Component i, the diagonal average of
+u_i u_i^T X, is built only on request, as a convolution of u_i with the
+sliding dot product u_i^T X; the eigenvectors are orthonormal, so all
+components sum to the signal.
 """
 
 from dataclasses import dataclass
@@ -91,8 +98,12 @@ def _lag_cov(x: np.ndarray, length: int) -> np.ndarray:
     return upper + np.triu(upper, 1).T
 
 
-def ssa_decompose(x: np.ndarray, window_len: int | None = None) -> SsaModel:
+def ssa_decompose(x: np.ndarray, window_len: int | None = None,
+                  leading: int | None = None) -> SsaModel:
     """Decompose 1-D samples; components are built by ``SsaModel.component``.
+
+    With ``leading=k`` the model holds only the full model's first
+    ``min(k, n_components)`` components, bit for bit.
 
     A nonzero signal whose lag covariance overflows or underflows (max |x|
     above about 1e153 or below about 1e-162) raises NumericDegeneracyError.
@@ -109,6 +120,8 @@ def ssa_decompose(x: np.ndarray, window_len: int | None = None) -> SsaModel:
             raise InvalidSpecError(
                 f"window_len must satisfy 2 <= L <= N/2, got L={length} for N={n}"
             )
+    if leading is not None and leading < 1:
+        raise InvalidSpecError(f"leading must be >= 1, got {leading}")
     with np.errstate(over="ignore", invalid="ignore"):
         cov = _lag_cov(x, length)
     if not np.isfinite(cov).all() or (x.any() and not cov.any()):
@@ -116,6 +129,10 @@ def ssa_decompose(x: np.ndarray, window_len: int | None = None) -> SsaModel:
                                      f"(max |x| = {np.max(np.abs(x)):.3e})")
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    if leading is not None:
+        k = min(leading, length)
+        if eigvals[k - 1] > 2 * EIG_NOISE_TOL * eigvals[0]:
+            eigvals, eigvecs = eigvals[:k], eigvecs[:, :k]
     low = eigvals < eigvals[0] * EIG_NOISE_TOL
     if low.any():
         # |u_i^T X|^2, summed over the same blocks
@@ -123,7 +140,8 @@ def ssa_decompose(x: np.ndarray, window_len: int | None = None) -> SsaModel:
                            for block in _row_blocks(x, length))
         order = np.argsort(-eigvals, kind="stable")
         eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    keep = eigvals > eigvals[0] * REL_RANK_TOL  # none for an all-zero signal
+    # none for an all-zero signal; eigvals are in descending order
+    keep = np.flatnonzero(eigvals > eigvals[0] * REL_RANK_TOL)[:leading]
     return SsaModel(
         window_len=length,
         singular_values=np.sqrt(eigvals[keep]),

@@ -100,7 +100,11 @@ def denoise_emd_maf(signal: Signal, ma_width: int = 5) -> tuple:
     sits above 30 Hz; a single coherent low tone sharing the mode (boundary
     mixing) must not shield an EMG-dominated IMF from smoothing.
     """
-    odd_width(ma_width)  # checked before EMD, so it fails on any input
+    # checked before EMD, so they fail whether or not an IMF is smoothed
+    width = odd_width(ma_width)
+    if width > len(signal):
+        raise TooShortError(f"ma_width {width} exceeds the signal length "
+                            f"{len(signal)}")
     imf_set = emd(signal.samples)
     total = imf_set.residual  # a new array, so the sum can build on it
     smoothed = []
@@ -172,8 +176,8 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
     params = {"autocorr_thresh": str(autocorr_thresh), "top_k": str(top_k)}
     comps, owner = [], []  # owner: the channel index of each component
     for c, ch in enumerate(rec.channels):
-        model = ssa_decompose(ch.samples)
-        for i in range(min(top_k, model.n_components)):
+        model = ssa_decompose(ch.samples, leading=top_k)
+        for i in range(model.n_components):
             comps.append(model.component(i))
             owner.append(c)
     if not comps:
@@ -212,6 +216,11 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
     return rec.with_channels(out_channels), report
 
 
+# samples turned into Python floats at once by the per-sample recurrences;
+# a block keeps their memory flat however long the input
+_FLOAT_BLOCK = 4096
+
+
 def adaptive_kalman_denoise(signal: Signal, q: float = 1e-5, r0: float = 1.0,
                             adapt_window: int = 64) -> tuple:
     """Scalar random-walk Kalman filter with innovation-based noise tracking."""
@@ -222,26 +231,29 @@ def adaptive_kalman_denoise(signal: Signal, q: float = 1e-5, r0: float = 1.0,
     if adapt_window < 8:
         raise ValueError(f"adapt_window must be >= 8, got {adapt_window}")
     z = signal.samples
-    estimate = z[0]
+    estimate = float(z[0])
     p = r0
     r = r0
-    out = np.empty_like(z)
-    innovations = np.empty(adapt_window)
-    priors = np.empty(adapt_window)
-    fill = 0
-    for t, measurement in enumerate(z):
-        p_prior = p + q
-        innovation = measurement - estimate
-        gain = p_prior / (p_prior + r)
-        estimate = estimate + gain * innovation
-        p = (1.0 - gain) * p_prior
-        out[t] = estimate
-        innovations[fill] = innovation
-        priors[fill] = p_prior
-        fill += 1
-        if fill == adapt_window:
-            r = max(innovations.var() - priors.mean(), r0 / 100.0)
-            fill = 0
+    out = np.empty(len(z))
+    innovations, priors = [], []
+    # the recurrence runs on Python floats, one block of samples at a time;
+    # p_prior + r stays positive, so no division raises
+    for start in range(0, len(z), _FLOAT_BLOCK):
+        estimates = []
+        for measurement in z[start:start + _FLOAT_BLOCK].tolist():
+            p_prior = p + q
+            innovation = measurement - estimate
+            gain = p_prior / (p_prior + r)
+            estimate = estimate + gain * innovation
+            p = (1.0 - gain) * p_prior
+            estimates.append(estimate)
+            innovations.append(innovation)
+            priors.append(p_prior)
+            if len(innovations) == adapt_window:
+                r = max(float(np.var(innovations) - np.mean(priors)),
+                        r0 / 100.0)
+                innovations, priors = [], []
+        out[start:start + len(estimates)] = estimates
     report = DenoiseReport(
         method_id="akf",
         params={"q": str(q), "r0": str(r0), "adapt_window": str(adapt_window)},
@@ -281,10 +293,19 @@ def cascade_lms(
         stage_in_energy = float(current @ current)
         # a diverging weight vector overflows before the check below fires
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, window in enumerate(windows):
-                err = current[t] - w @ window
-                out[t] = err
-                w = w + mu * err * window / (window @ window + delta)
+            for start in range(0, n, _FLOAT_BLOCK):
+                block = windows[start:start + _FLOAT_BLOCK]
+                # each (1 x taps) @ (taps x 1) product is the dot product
+                # window @ window, by the same kernel
+                norms = (np.matmul(block[:, None, :], block[:, :, None])
+                         .ravel() + delta).tolist()
+                targets = current[start:start + _FLOAT_BLOCK].tolist()
+                errs = []
+                for window, target, norm in zip(block, targets, norms):
+                    err = target - float(w @ window)
+                    errs.append(err)
+                    w = w + mu * err * window / norm
+                out[start:start + len(errs)] = errs
             stage_out_energy = float(out @ out)
         if not np.all(np.isfinite(out)) or stage_out_energy > 100.0 * stage_in_energy:
             raise DivergenceError(

@@ -320,6 +320,21 @@ class TestExitCodes:
         assert not out.exists()
         assert not (tmp_path / "out.csv.report.json").exists()
 
+    @pytest.mark.parametrize("noise", [None, "kind=emg_burst,duty=1,seed=3"])
+    def test_ma_width_over_length_data_error(self, tmp_path, capsys, noise):
+        # a clean recording has no IMF to smooth, a noisy one does; both
+        # are refused before EMD
+        raw, out = tmp_path / "short.csv", tmp_path / "out.csv"
+        noise_args = ("--noise", noise) if noise else ()
+        assert run("simulate", "--out", str(raw), "--duration", "1",
+                   *noise_args) == 0
+        assert run("denoise", "--in", str(raw), "--method", "emd_maf",
+                   "--ma-width", "999", "--out", str(out)) == 2
+        assert ("ma_width 999 exceeds the signal length 256"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert not (tmp_path / "out.csv.report.json").exists()
+
     def test_window_longer_than_recording_data_error(self, tmp_path, raw_csv,
                                                      capsys):
         out = tmp_path / "f.csv"

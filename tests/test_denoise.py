@@ -101,6 +101,14 @@ class TestEmdMaf:
         out, _ = denoise_emd_maf(x)
         assert np.array_equal(out.samples, x.samples)
 
+    @pytest.mark.parametrize("n, width", [(1, 5), (4, 5), (256, 999)])
+    def test_width_over_length_refused(self, n, width):
+        x = Signal(np.random.default_rng(0).normal(size=n), FS)
+        with pytest.raises(TooShortError,
+                           match=f"ma_width {width} exceeds the signal "
+                                 f"length {n}"):
+            denoise_emd_maf(x, ma_width=width)
+
     @pytest.mark.parametrize("width", [4, 0, -3])
     def test_bad_width_refused_when_no_imf_is_smoothed(self, width):
         # a clean sine has no IMF above 30 Hz, so the width is never used
@@ -238,6 +246,32 @@ class TestSsaCca:
             i for i, rho in enumerate(autocorrs) if rho < 0.9)
 
 
+def _akf_per_sample(z, q=1e-5, r0=1.0, adapt_window=64):
+    """The Kalman recurrence as it ran on numpy scalars, one array write per
+    sample; the reference for the Python-float loop."""
+    estimate = z[0]
+    p = r0
+    r = r0
+    out = np.empty_like(z)
+    innovations = np.empty(adapt_window)
+    priors = np.empty(adapt_window)
+    fill = 0
+    for t, measurement in enumerate(z):
+        p_prior = p + q
+        innovation = measurement - estimate
+        gain = p_prior / (p_prior + r)
+        estimate = estimate + gain * innovation
+        p = (1.0 - gain) * p_prior
+        out[t] = estimate
+        innovations[fill] = innovation
+        priors[fill] = p_prior
+        fill += 1
+        if fill == adapt_window:
+            r = max(innovations.var() - priors.mean(), r0 / 100.0)
+            fill = 0
+    return out
+
+
 class TestAdaptiveKalman:
     def test_constant_plus_noise(self):
         rng = rng_stream(0, "akf-test")
@@ -263,6 +297,63 @@ class TestAdaptiveKalman:
             adaptive_kalman_denoise(x, q=0.0)
         with pytest.raises(ValueError):
             adaptive_kalman_denoise(x, adapt_window=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 700),
+           kind=st.sampled_from(["noise", "constant", "zero", "impulse"]),
+           log_amp=st.floats(-150.0, 150.0),
+           log_q=st.floats(-12.0, 3.0),
+           log_r0=st.floats(-12.0, 3.0),
+           adapt_window=st.integers(8, 100),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2048, kind="noise", log_amp=0.0, log_q=-5.0, log_r0=0.0,
+             adapt_window=64, seed=0)
+    @example(n=denoise._FLOAT_BLOCK + 50, kind="noise", log_amp=0.0,
+             log_q=-5.0, log_r0=0.0, adapt_window=100, seed=1)
+    def test_matches_per_sample_loop(self, n, kind, log_amp, log_q, log_r0,
+                                     adapt_window, seed):
+        x = Signal(edge_samples(kind, n, log_amp, seed), FS)
+        q, r0 = 10.0**log_q, 10.0**log_r0
+        with np.errstate(all="ignore"):
+            want = _akf_per_sample(x.samples, q, r0, adapt_window)
+        if not np.all(np.isfinite(want)):
+            with pytest.raises(EegScrubError):
+                adaptive_kalman_denoise(x, q, r0, adapt_window)
+            return
+        got, _ = adaptive_kalman_denoise(x, q, r0, adapt_window)
+        assert got.samples.tobytes() == want.tobytes()
+
+
+def _nlms_per_sample(primary, refs, mu, taps):
+    """The NLMS cascade as it ran one window at a time, recomputing each
+    window's norm; the reference for the blocked loop. Returns the output
+    samples and the two decision lists, or raises DivergenceError."""
+    current = primary.samples.copy()
+    n = len(current)
+    reduction_db, max_weight = [], []
+    for stage, ref in enumerate(refs):
+        x = ref.samples
+        delta = 1e-3 * taps * float(np.var(x)) or np.finfo(float).tiny
+        w = np.zeros(taps)
+        out = np.empty(n)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([x[::-1], np.zeros(taps - 1)]), taps)[::-1]
+        stage_in_energy = float(current @ current)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, window in enumerate(windows):
+                err = current[t] - w @ window
+                out[t] = err
+                w = w + mu * err * window / (window @ window + delta)
+            stage_out_energy = float(out @ out)
+        if (not np.all(np.isfinite(out))
+                or stage_out_energy > 100.0 * stage_in_energy):
+            raise DivergenceError(f"NLMS stage {stage} diverged")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reduction_db.append(float(
+                10.0 * np.log10(np.divide(stage_in_energy, stage_out_energy))))
+        max_weight.append(float(np.max(np.abs(w))))
+        current = out
+    return current, reduction_db, max_weight
 
 
 class TestCascadeLms:
@@ -342,6 +433,28 @@ class TestCascadeLms:
         got, _ = cascade_lms(x, refs, mu=mu, taps=taps)
         assert np.array_equal(got.samples, current)
 
+    @pytest.mark.parametrize("taps, n, mu, stages", [
+        (1, 2048, 0.05, 1), (16, 2048, 0.05, 1), (64, 2048, 0.05, 1),
+        (16, 10, 0.05, 1), (64, 40, 0.5, 2),
+        (16, denoise._FLOAT_BLOCK + 1, 0.05, 1),
+        (16, 2048, 0.05, 2), (1, 2048, 1.9, 2), (16, 2048, 500.0, 1)])
+    def test_matches_per_window_loop(self, taps, n, mu, stages):
+        x = contaminated(sine(10.0, n=n), "emg_burst", 0, duty=1.0)
+        refs = [gen_noise(NoiseSpec("emg_burst", {"duty": 1.0}, seed=7), n, FS),
+                sine(50.0, n=n, amp=3.0)][:stages]
+        try:
+            want = _nlms_per_sample(x, refs, mu, taps)
+        except DivergenceError:
+            with pytest.raises(DivergenceError):
+                cascade_lms(x, refs, mu=mu, taps=taps)
+            return
+        got, report = cascade_lms(x, refs, mu=mu, taps=taps)
+        assert got.samples.tobytes() == want[0].tobytes()
+        assert (np.array(report.decisions["energy_reduction_db"]).tobytes()
+                == np.array(want[1]).tobytes())
+        assert (np.array(report.decisions["max_abs_weight"]).tobytes()
+                == np.array(want[2]).tobytes())
+
     def test_reports_each_stage(self):
         clean = sine(10.0)
         mains = sine(50.0, phase=0.2)
@@ -381,6 +494,21 @@ def test_ten_minute_cascade_lms_stays_small():
     # ten minutes of one channel and one reference at 256 Hz: each signal is
     # 1.2 MiB, and a copied window array of N x 16 taps would be 19 MiB
     assert peak_rise_mib(_LMS_SETUP, "cascade_lms(primary, [ref])") < 8.0
+
+
+_AKF_SETUP = """
+import numpy as np
+from eegscrub import Signal, adaptive_kalman_denoise, rng_stream
+
+adaptive_kalman_denoise(Signal(np.ones(2048), 256.0))
+x = Signal(rng_stream(1, "akf-rss").normal(size=153_600), 256.0)
+"""
+
+
+def test_ten_minute_akf_stays_small():
+    # ten minutes of one channel at 256 Hz is 1.2 MiB; the same samples as
+    # Python floats in lists, input and output, would take about 10 MiB
+    assert peak_rise_mib(_AKF_SETUP, "adaptive_kalman_denoise(x)") < 4.0
 
 
 class TestBlinkTemplate:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eegscrub import (
@@ -12,7 +12,8 @@ from eegscrub import (
     rng_stream,
 )
 from eegscrub.decompose import default_window, ssa_decompose, ssa_reconstruct
-from eegscrub.decompose.ssa import _lag_cov, _row_blocks
+from eegscrub.decompose import ssa as ssa_module
+from eegscrub.decompose.ssa import EIG_NOISE_TOL, _lag_cov, _row_blocks
 from peak_rss import peak_rise_mib
 
 
@@ -170,6 +171,80 @@ def test_lag_cov_matches_blocked_sum(n, window_frac, kind, seed):
     assert cov.shape == (length, length)
     assert np.array_equal(cov, cov.T)
     assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def leading_case(kind, n, scale, seed):
+    t = np.arange(n)
+    noise = np.random.default_rng(seed).normal(size=n)
+    if kind == "sine":  # rank 2
+        return np.sin(0.3 * t + seed)
+    if kind == "two_tones":  # rank 4
+        return np.sin(0.3 * t) + 0.5 * np.cos(0.71 * t + seed)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, noise[0])
+    if kind == "offset":
+        return 1000.0 + 1e-4 * noise
+    if kind == "near_tol":
+        # components 4 and 5 at about twice the re-measure tolerance of
+        # the largest: the squared amplitude ratio is 2e-10 times scale
+        return (np.sin(0.3 * t) + np.cos(0.71 * t)
+                + np.sqrt(2 * EIG_NOISE_TOL * scale) * np.sin(1.3 * t))
+    return noise
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["noise", "sine", "two_tones", "zero", "constant",
+                          "offset", "near_tol"]),
+    n=st.integers(8, 600),
+    window_frac=st.floats(0.0, 1.0),
+    leading=st.integers(1, 8),
+    scale=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="two_tones", n=2048, window_frac=1.0, leading=4, scale=1.0,
+         seed=0)
+@example(kind="sine", n=2048, window_frac=1.0, leading=4, scale=1.0, seed=0)
+@example(kind="near_tol", n=512, window_frac=1.0, leading=5, scale=1.0,
+         seed=0)
+def test_leading_model_is_the_full_model_cut(kind, n, window_frac, leading,
+                                             scale, seed):
+    x = leading_case(kind, n, scale, seed)
+    length = 2 + round(window_frac * (n // 2 - 2))
+    full = ssa_decompose(x, length)
+    cut = ssa_decompose(x, length, leading=leading)
+    k = min(leading, full.n_components)
+    assert cut.window_len == full.window_len and cut.samples is x
+    assert cut.n_components == k
+    assert (cut.singular_values.tobytes()
+            == full.singular_values[:k].tobytes())
+    assert (cut.eigenvectors.tobytes()
+            == np.ascontiguousarray(full.eigenvectors[:, :k]).tobytes())
+    for i in range(k):
+        assert cut.component(i).tobytes() == full.component(i).tobytes()
+
+
+def test_leading_skips_the_tail_re_measure(monkeypatch):
+    t = np.arange(2048)
+    x = np.sin(0.3 * t) + 0.5 * np.cos(0.71 * t)
+    full = ssa_decompose(x)
+
+    def no_blocks(*args):
+        raise AssertionError("the tail was re-measured")
+
+    monkeypatch.setattr(ssa_module, "_row_blocks", no_blocks)
+    cut = ssa_decompose(x, leading=4)
+    assert cut.singular_values.tobytes() == full.singular_values[:4].tobytes()
+    with pytest.raises(AssertionError, match="re-measured"):
+        ssa_decompose(x)  # 124 of 128 eigenvalues are below the tolerance
+
+
+@pytest.mark.parametrize("leading", [0, -1])
+def test_leading_below_one_refused(leading):
+    with pytest.raises(InvalidSpecError, match="leading must be >= 1"):
+        ssa_decompose(sine(5.0), leading=leading)
 
 
 _TOP_FOUR_SETUP = """
