@@ -140,7 +140,7 @@ class LinearModel:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(np.minimum(x, -x))  # -|x|, keeping a NaN's sign bit
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (e + 1.0)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

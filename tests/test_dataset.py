@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eegscrub import (
     CLASS_NAMES,
@@ -18,6 +20,7 @@ from eegscrub import (
     save_raw_csv,
     write_report,
 )
+from eegscrub import dataset
 from eegscrub.dataset import _BLOCK_ROWS, write_csv
 from eegscrub.errors import DataFormatError
 from peak_rss import peak_rise_mib
@@ -289,8 +292,65 @@ def csv_writer_bytes(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def per_row_writer_bytes(header, rows, texts=None) -> bytes:
+    """The float-matrix writer formatting one row per loop: the row's reprs
+    joined by commas, then csv.writer's row of nothing, or of one empty cell
+    (when the row has cells) and the row's text cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    lead = [""] * min(rows.shape[1], 1)
+    for i in range(len(rows)):
+        buf.write(",".join(map(repr, rows[i].tolist())))
+        writer.writerow([] if texts is None else lead + [texts[i]])
+    return buf.getvalue().encode("utf-8")
+
+
+# shortest and longest reprs, exponent forms, both zeros and non-finite
+# values, which write_csv writes as they are
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-05, 1e16, 1e22, 0.1, 3.0,
+               123456789012345678.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def matrices_and_texts(draw, texts):
+    n_cols = draw(st.sampled_from([0, 1, 4, 40]))
+    n_rows = draw(st.integers(0, 12))
+    cells = draw(st.lists(st.sampled_from(EDGE_VALUES),
+                          min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    rows = np.array(cells, dtype=float).reshape(n_rows, n_cols)
+    row_texts = st.lists(st.sampled_from(texts), min_size=n_rows,
+                         max_size=n_rows)
+    return rows, draw(st.one_of(st.none(), row_texts))
+
+
 class TestWriteCsv:
     ODD = ["a,b", 'say "hi"', "two\nlines", "cr\rend", "", " pad "]
+
+    @pytest.mark.parametrize("block_cells", [1, 3, 7])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=matrices_and_texts(ODD))
+    def test_blocks_bytes_equal_per_row_writer(self, tmp_path, monkeypatch,
+                                               block_cells, table):
+        monkeypatch.setattr(dataset, "_FORMAT_CELLS", block_cells)
+        rows, texts = table
+        header = [f"h{i}" for i in range(rows.shape[1])]
+        if texts is not None:
+            header.append("label")
+        path = tmp_path / "w.csv"
+        write_csv(path, header, rows, texts)
+        assert path.read_bytes() == per_row_writer_bytes(header, rows, texts)
+
+    @pytest.mark.parametrize("n_texts", [0, 2, 4])
+    def test_texts_not_one_per_row_refused_before_writing(self, tmp_path,
+                                                          n_texts):
+        path = tmp_path / "w.csv"
+        with pytest.raises(ValueError,
+                           match=f"^{n_texts} text cells for 3 rows$"):
+            write_csv(path, ["a", "label"], np.ones((3, 1)),
+                      self.ODD[:n_texts])
+        assert not path.exists()
 
     @pytest.mark.parametrize("n_cols", [0, 1, 3])
     def test_matrix_bytes_equal_csv_writer(self, tmp_path, n_cols):
@@ -318,6 +378,27 @@ class TestWriteCsv:
             (r + [names[y]] for r, y in zip(matrix.rows.tolist(),
                                             matrix.labels)))
         assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("shape, labeled", [((400, 2548), True),
+                                            ((153_600, 4), False)])
+def test_matrix_write_stays_small(tmp_path, shape, labeled):
+    # one process, so that the rise is the formatter's own: a block of cells
+    # at a time, not the whole table (90 MiB for the 400 x 2548 one)
+    setup = (
+        "import numpy as np\n"
+        "from eegscrub import CLASS_NAMES, dataset\n"
+        "dataset._usable_cores = lambda: 1\n"
+        f"rows = np.random.default_rng(0).normal(size={shape})\n"
+        f"texts = [CLASS_NAMES[i % 3] for i in range(len(rows))] "
+        f"if {labeled} else None\n"
+        "header = [f'f{i}' for i in range(rows.shape[1])]\n"
+        "header += ['label'] if texts else []\n"
+        f"path = {str(tmp_path / 'w.csv')!r}\n"
+        "dataset.write_csv(path, header, rows[:2], texts and texts[:2])\n"
+    )
+    rise = peak_rise_mib(setup, "dataset.write_csv(path, header, rows, texts)")
+    assert rise <= 8.0
 
 
 class TestReports:

@@ -6,7 +6,6 @@ data is then cut into shares, each run by its own child. The tests of
 test_dataset.py and the plain-against-checked property run again that way.
 """
 
-import builtins
 import multiprocessing
 import os
 import subprocess
@@ -153,14 +152,14 @@ def test_no_child_left_after_write_read_and_refusal(tmp_path):
 
 def exit_in_children(monkeypatch):
     """Makes every forked share of the writer exit with code 1."""
-    parent = os.getpid()
+    parent, format_rows = os.getpid(), dataset._format_rows
 
-    def formatted(value):
+    def formatted(rows, tails):
         if os.getpid() != parent:
             os._exit(1)
-        return builtins.repr(value)
+        return format_rows(rows, tails)
 
-    monkeypatch.setattr(dataset, "repr", formatted, raising=False)
+    monkeypatch.setattr(dataset, "_format_rows", formatted)
 
 
 def test_failed_child_is_os_error_naming_path(tmp_path, monkeypatch):

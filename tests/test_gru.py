@@ -75,14 +75,29 @@ def masked_sigmoid(x):
     return out
 
 
-@pytest.mark.parametrize("x", [
+def two_quotient_sigmoid(x):
+    """The stable logistic as two full quotients and a ``where``."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+SIGMOID_INPUTS = [
     np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 708.0, -708.0, 750.0,
               -750.0, np.inf, -np.inf, np.nan, -np.nan]),
     rng_stream(0, "sigmoid-test").normal(0.0, 8.0, size=(2132, 64)),
-])
+]
+
+
+@pytest.mark.parametrize("x", SIGMOID_INPUTS)
 def test_sigmoid_bit_identical_to_masked_form(x):
     assert np.array_equal(_sigmoid(x).view(np.uint64),
                           masked_sigmoid(x).view(np.uint64))
+
+
+@pytest.mark.parametrize("x", SIGMOID_INPUTS)
+def test_sigmoid_bit_identical_to_two_quotient_form(x):
+    assert np.array_equal(_sigmoid(x).view(np.uint64),
+                          two_quotient_sigmoid(x).view(np.uint64))
 
 
 class TestForward:
