@@ -1,9 +1,10 @@
 """Seeded Monte-Carlo benchmark grid: methods x noise kinds x SNR levels.
 
-Each cell mixes a deterministic two-tone surrogate with one noise realization
-per seed, runs the method at its default operating point, and aggregates
-median and IQR. The identity method rides along as the no-op control every
-improvement claim is measured against.
+Each draw mixes one noise realization per seed into a deterministic two-tone
+surrogate on every channel, each channel at the target SNR (the ``identical``
+montage), and runs the method at its default operating point; each cell
+aggregates its draws' median and IQR. The identity method rides along as the
+no-op control every improvement claim is measured against.
 """
 
 from dataclasses import replace
@@ -11,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 
 from .core import Recording, Signal, check_fs
-# the denoisers stay importable from here; the table calls them through
-# eegscrub.denoise
+# the denoisers stay importable from here, where benchmarks/layers.py wraps
+# them by name; the table calls them through eegscrub.denoise
 from .denoise import (  # noqa: F401
     METHOD_IDS,
     METHODS,
@@ -22,14 +23,12 @@ from .denoise import (  # noqa: F401
     denoise_dwt,
     denoise_emd_maf,
     identity,
-    remove_blink_template,
     remove_motion_ssa,
     remove_muscle_ssa_cca,
 )
 from .noise import NoiseSpec, blink_bump, compute_metrics, gen_noise, mix_at_snr
 from .rng import rng_stream
 
-CHANNEL_GAINS = (1.0, 0.8, 1.2, 0.9)
 CHANNEL_NAMES = ("TP9", "AF7", "AF8", "TP10")
 # reference generators get their own seed offset so the reference is a
 # distinct realization of the same contaminant family
@@ -55,18 +54,16 @@ def _run_cell_seed(method: str, spec: NoiseSpec, snr_db: float, seed: int,
                    n: int, fs: float) -> dict:
     """One Monte-Carlo draw; returns metrics plus the mix round-trip error.
 
-    Multichannel methods see all four channels, the noise scaled by
-    CHANNEL_GAINS; single-channel methods see channel 0 (gain 1).
+    Every channel is ``mix_at_snr`` of its own clean surrogate and the one
+    contaminant draw, at ``snr_db``. Multichannel methods see all four
+    channels; single-channel methods see channel 0.
     """
     entry = METHODS[method]
     n_ch = len(CHANNEL_NAMES) if entry.multichannel else 1
     realized = replace(spec, seed=spec.seed + seed)
     noise = gen_noise(realized, n, fs)
     cleans = [make_clean(seed, n, fs, channel=c) for c in range(n_ch)]
-    mixed_channels = [
-        mix_at_snr(clean, noise.with_samples(noise.samples * gain), snr_db)[0]
-        for clean, gain in zip(cleans, CHANNEL_GAINS)
-    ]
+    mixed_channels = [mix_at_snr(clean, noise, snr_db)[0] for clean in cleans]
     in_metrics = [compute_metrics(c, m) for c, m in zip(cleans, mixed_channels)]
     if entry.needs == "references":
         ref_spec = replace(realized, seed=seed + REFERENCE_SEED_OFFSET)

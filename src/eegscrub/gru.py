@@ -11,7 +11,7 @@ checked against finite differences in the test suite.
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -192,26 +192,28 @@ def reshape_to_sequences(rows: np.ndarray, config: ModelConfig) -> np.ndarray:
     return padded.reshape(rows.shape[0], config.seq_len, config.feat_dim)
 
 
+def _gru_shapes(config: ModelConfig) -> dict:
+    """Each GRU array's name and shape, in file order."""
+    h, c = config.hidden_size, config.n_classes
+    per_kind = {"w": (h, config.feat_dim), "u": (h, h), "b": (h,)}
+    shapes = {name: per_kind[name[0]] for name in GATE_PARAM_NAMES}
+    shapes.update(w_out=(c, config.seq_len * h), b_out=(c,))
+    return shapes
+
+
 def init_gru(config: ModelConfig) -> GruModel:
-    """Xavier-uniform weights, zero biases, all draws from one seeded stream."""
+    """Xavier-uniform weights, zero biases, all draws from one seeded stream
+    in file order."""
     rng = rng_stream(config.seed, "gru-init")
-    h, f, c, t = (config.hidden_size, config.feat_dim,
-                  config.n_classes, config.seq_len)
 
-    def xavier(rows, cols):
-        bound = math.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-bound, bound, size=(rows, cols))
+    def init(shape):
+        if len(shape) == 1:
+            return np.zeros(shape)
+        bound = math.sqrt(6.0 / sum(shape))
+        return rng.uniform(-bound, bound, size=shape)
 
-    gates = {}
-    for name in GATE_PARAM_NAMES:
-        if name.startswith("w"):
-            gates[name] = xavier(h, f)
-        elif name.startswith("u"):
-            gates[name] = xavier(h, h)
-        else:
-            gates[name] = np.zeros(h)
-    return GruModel(config=config, **gates, w_out=xavier(c, t * h),
-                    b_out=np.zeros(c))
+    return GruModel(config=config, **{name: init(shape) for name, shape
+                                      in _gru_shapes(config).items()})
 
 
 def _forward_batch(model: GruModel, seqs: np.ndarray, keep: bool = False):
@@ -498,7 +500,7 @@ def save_model(model, path) -> None:
 
 # per model kind: the integer config keys and the arrays a file must hold
 _MODEL_LAYOUT = {
-    "gru": (("seq_len", "feat_dim", "hidden_size", "n_classes", "seed"),
+    "gru": (tuple(f.name for f in fields(ModelConfig)),
             GATE_PARAM_NAMES + ("w_out", "b_out")),
     "linear": (("n_classes",), ("w", "b")),
 }
@@ -542,11 +544,8 @@ def _shape_problem(mc: ModelConfig | None, n_classes: int,
         want = {"w": (n_classes, n), "b": (n_classes,)}
         widths = range(n, n + 1)
     else:
-        h, f, t = mc.hidden_size, mc.feat_dim, mc.seq_len
-        per_kind = {"w": (h, f), "u": (h, h), "b": (h,)}
-        want = {name: per_kind[name[0]] for name in GATE_PARAM_NAMES}
-        want.update(w_out=(n_classes, t * h), b_out=(n_classes,))
-        widths = range(1, t * f + 1)
+        want = _gru_shapes(mc)
+        widths = range(1, mc.seq_len * mc.feat_dim + 1)
     for name, shape in want.items():
         if arrays[name].shape != shape:
             return (f"array {name!r} has shape {list(arrays[name].shape)}, "
@@ -593,7 +592,7 @@ def load_model(path):
     norm = None
     if "norm_loc" in arrays:
         norm = NormStats(loc=arrays["norm_loc"], scale=arrays["norm_scale"])
-    fields = {n: arrays[n] for n in names}
+    weights = {n: arrays[n] for n in names}
     if mc is not None:
-        return GruModel(config=mc, **fields, norm=norm)
-    return LinearModel(**config, **fields, norm=norm)
+        return GruModel(config=mc, **weights, norm=norm)
+    return LinearModel(**config, **weights, norm=norm)

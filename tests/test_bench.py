@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eegscrub import bench
 from eegscrub.bench import (
     leaderboard_csv_rows,
     make_blink_template,
@@ -8,7 +9,7 @@ from eegscrub.bench import (
     run_bench,
 )
 from eegscrub.denoise import METHOD_IDS
-from eegscrub.noise import NoiseSpec
+from eegscrub.noise import NoiseSpec, compute_metrics
 
 
 class TestMakeClean:
@@ -91,6 +92,32 @@ class TestRunBench:
         keys = [(r["method"], r["noise_kind"], r["target_snr_db"])
                 for r in rows]
         assert keys == sorted(keys)
+
+
+class TestMontage:
+    def test_one_contaminant_on_every_channel_at_the_target_snr(
+            self, monkeypatch):
+        # the identical montage: a multichannel draw carries one contaminant
+        # waveform, scaled per channel so each channel sits at the target SNR
+        seen, apply_method = [], bench.apply_method
+
+        def capture(method, rec, *inputs):
+            seen.append(rec)
+            return apply_method(method, rec, *inputs)
+
+        monkeypatch.setattr(bench, "apply_method", capture)
+        run_bench(["ssa_cca"], ["kind=emg_burst,duty=1"], [0.0], [3])
+        (rec,) = seen
+        assert len(rec.channels) == len(bench.CHANNEL_NAMES)
+        shapes = []
+        for c, mix in enumerate(rec.channels):
+            clean = make_clean(3, len(mix), mix.fs, channel=c)
+            added = mix.samples - clean.samples
+            shapes.append(added / np.linalg.norm(added))
+            assert compute_metrics(clean, mix)["snr_db"] \
+                == pytest.approx(0.0, abs=1e-9)
+        for shape in shapes[1:]:
+            np.testing.assert_allclose(shape, shapes[0], rtol=0, atol=1e-12)
 
 
 class TestLeaderboardCsv:

@@ -1,0 +1,88 @@
+"""`denoise` with every method and `extract-features`, run through `cli.main`
+on raw CSVs of any shape and scale the reader accepts: each run either
+writes finite output of the input's shape or fails with an `error:` line."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eegscrub.cli import main
+from eegscrub.denoise import METHOD_IDS
+from eegscrub.rng import rng_stream
+
+FEATURES_PER_CHANNEL = 12
+
+
+@st.composite
+def raw_tables(draw):
+    """1-1024 rows of 1-4 columns; each column seeded noise, a constant or
+    all zeros, at an amplitude from 1e-300 to 1e150."""
+    n = draw(st.integers(1, 1024))
+    columns = []
+    for c in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["noise", "constant", "zero"]))
+        amplitude = 10.0 ** draw(st.floats(-300, 150))
+        if kind == "noise":
+            rng = rng_stream(draw(st.integers(0, 2**16)), f"cli-property:{c}")
+            columns.append(amplitude * rng.normal(size=n))
+        else:
+            columns.append(np.full(n, amplitude if kind == "constant" else 0.0))
+    return np.column_stack(columns)
+
+
+def write_raw(path: Path, table: np.ndarray) -> None:
+    header = ",".join(f"ch{c}" for c in range(table.shape[1]))
+    path.write_text(header + "\n" + "".join(
+        ",".join(map(repr, row.tolist())) + "\n" for row in table))
+
+
+def read_table(path: Path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def run_cli(argv) -> tuple:
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+def check_outcome(code: int, stderr: str, out: Path) -> np.ndarray | None:
+    """The output table of a run that exited 0, else None after checking the
+    failure was reported as an error line."""
+    assert "Traceback" not in stderr
+    if code == 0:
+        return read_table(out)
+    assert code in (1, 2), (code, stderr)
+    assert stderr.startswith("error: "), stderr
+    return None
+
+
+@settings(max_examples=12, deadline=None)
+@given(table=raw_tables(), window_s=st.sampled_from([0.25, 1.0, 2.0]))
+def test_denoise_and_extract_exit_cleanly(table, window_s):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp) / "raw.csv"
+        write_raw(raw, table)
+        for method in METHOD_IDS:
+            out = Path(tmp) / f"{method}.csv"
+            code, stderr = run_cli(["denoise", "--in", str(raw), "--method",
+                                    method, "--out", str(out)])
+            clean = check_outcome(code, stderr, out)
+            if clean is not None:
+                assert clean.shape == table.shape, method
+                assert np.isfinite(clean).all(), method
+        out = Path(tmp) / "feats.csv"
+        code, stderr = run_cli(["extract-features", "--in", str(raw),
+                                "--out", str(out), "--window-s",
+                                str(window_s)])
+        feats = check_outcome(code, stderr, out)
+        if feats is not None:
+            assert feats.shape[1] == FEATURES_PER_CHANNEL * table.shape[1]
+            assert len(feats) >= 1
+            assert np.isfinite(feats).all()

@@ -1,9 +1,10 @@
 """Golden pins for the outputs that stay bit-exact across refactors.
 
 Each pin is the first 16 hex digits of a sha256: of the bench rows of a
-small grid, of the saved GRU and linear model bytes for a fixed table, and
-of the feature CSV the README's command chain writes. A change that moves
-one of them changes what users get for the same seed, and must say so.
+small grid, whole and per method (so a change shows which method moved), of
+the saved GRU and linear model bytes for a fixed table, and of the feature
+CSV the README's command chain writes. A change that moves one of them
+changes what users get for the same seed, and must say so.
 """
 
 import hashlib
@@ -43,11 +44,29 @@ def model_table() -> FeatureMatrix:
                          tuple(labels))
 
 
-def test_bench_rows_pinned():
-    rows = run_bench(GRID_METHODS, GRID_NOISES, [-5, 0, 5], [0, 1],
+@pytest.fixture(scope="module")
+def bench_rows():
+    return run_bench(GRID_METHODS, GRID_NOISES, [-5, 0, 5], [0, 1],
                      n=2048)["rows"]
-    assert digest(json.dumps(rows, sort_keys=True).encode()) \
-        == "ac7956531c7831c1"
+
+
+def test_bench_rows_pinned(bench_rows):
+    assert digest(json.dumps(bench_rows, sort_keys=True).encode()) \
+        == "46faa3fd0b2f83d9"
+
+
+@pytest.mark.parametrize("method,pin", [
+    ("identity", "442f9c381e942a9e"),
+    ("dwt", "04bc24ad54e18ffc"),
+    ("emd_maf", "63afbe9014e1b010"),
+    ("ssa_motion", "b4df8a3bd69f33f5"),
+    ("ssa_cca", "341ec467bf214fbb"),
+    ("akf", "42b35243cd59273c"),
+    ("cascade_lms", "c035ec8735a4735f"),
+])
+def test_bench_rows_pinned_per_method(bench_rows, method, pin):
+    rows = [row for row in bench_rows if row["method"] == method]
+    assert digest(json.dumps(rows, sort_keys=True).encode()) == pin
 
 
 @pytest.mark.parametrize("kind,pin", [("gru", "dc99586e20beeb6b"),
