@@ -12,9 +12,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateInputError, InvalidSpecError, TooShortError
+from .errors import (DegenerateInputError, InvalidSpecError,
+                     NumericDegeneracyError, TooShortError)
 
 FILTER_KINDS = ("bandpass", "lowpass", "highpass", "notch")
+_BLOCK_BYTES = 1 << 20  # bytes of a table read per block: z-scores, gathers
 
 
 def _freeze(values) -> np.ndarray:
@@ -234,13 +236,36 @@ class NormStats:
         return cols
 
     @classmethod
-    def of(cls, cols: np.ndarray) -> "NormStats":
-        """The z-score of ``cols``' columns, fitted without scaling a copy."""
+    def of(cls, cols: np.ndarray, names=None) -> "NormStats":
+        """The z-score of ``cols``' columns, fitted one column block of at
+        most ``_BLOCK_BYTES`` at a time, bit for bit ``cols.mean(axis=0)``
+        and ``cols.std(axis=0)``. A column whose mean or sigma is not finite
+        is a ``NumericDegeneracyError`` naming it by ``names``, if given."""
         if cols.size == 0:
             raise ValueError("cannot normalize empty data")
-        scale = cols.std(axis=0)
+        n, m = cols.shape
+        loc, scale = np.empty(m), np.empty(m)
+        # numpy sums a lone column pairwise, but two or more row by row
+        width = max(2, _BLOCK_BYTES // (n * cols.itemsize))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, m, width):
+                stop = min(start + width, m)
+                start = max(0, min(start, stop - 2))  # no lone last column
+                block = cols[:, start:stop]
+                loc[start:stop] = block.sum(axis=0) / n
+                dev = block - loc[start:stop]
+                dev *= dev
+                scale[start:stop] = np.sqrt(dev.sum(axis=0) / n)
+        bad = np.flatnonzero(~(np.isfinite(loc) & np.isfinite(scale)))
+        if len(bad):
+            j = bad[0]
+            name = f"column {j}" if names is None else f"feature {names[j]!r}"
+            raise NumericDegeneracyError(
+                f"{name} has no finite z-score (mean {loc[j]:g}, sigma "
+                f"{scale[j]:g}): its values are not finite or overflow "
+                f"float64 arithmetic")
         # constant columns map to zero instead of dividing by zero
-        return cls(cols.mean(axis=0), np.where(scale == 0.0, 1.0, scale))
+        return cls(loc, np.where(scale == 0.0, 1.0, scale))
 
 
 def normalize(data, stats: NormStats | None = None):

@@ -26,7 +26,7 @@ class NumericDegeneracyError(EegScrubError, RuntimeError):
 
 
 class DivergenceError(EegScrubError, RuntimeError):
-    """An adaptive filter stage diverged."""
+    """An adaptive filter stage or a training run diverged."""
 
 
 class StratificationError(EegScrubError, ValueError):

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .core import NormStats, normalize
-from .errors import DataFormatError, StratificationError
+from .core import _BLOCK_BYTES, NormStats
+from .errors import DataFormatError, DivergenceError, StratificationError
 from .features import FeatureMatrix
 from .rng import rng_stream
 
@@ -75,8 +75,23 @@ class TrainConfig:
             )
 
 
+class _Classifier:
+    """Rows in, class probabilities out: the part both models share."""
+
+    def predict_proba(self, rows: np.ndarray) -> np.ndarray:
+        return self._probs(self._inputs(rows))
+
+    def _inputs(self, rows) -> np.ndarray:
+        rows = _checked_rows(rows, self.norm)
+        inputs, cols = self._buffer(*rows.shape)
+        cols[...] = rows
+        if self.norm is not None:  # scaled inside the one copy
+            self.norm.apply_in_place(cols)
+        return inputs
+
+
 @dataclass(frozen=True)
-class GruModel:
+class GruModel(_Classifier):
     """Update (z), reset (r) and candidate (h) gate weights, then the dense
     output layer."""
 
@@ -98,16 +113,8 @@ class GruModel:
     def n_classes(self) -> int:
         return self.config.n_classes
 
-    def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        return self._probs(self._inputs(rows))
-
-    def _inputs(self, rows) -> np.ndarray:
-        rows = _checked_rows(rows, self.norm)
-        seqs = reshape_to_sequences(rows, self.config)
-        if self.norm is not None:  # scaled inside the one padded copy
-            self.norm.apply_in_place(
-                seqs.reshape(len(rows), -1)[:, : rows.shape[1]])
-        return seqs
+    def _buffer(self, n_rows: int, n_features: int) -> tuple:
+        return _sequence_buffer(n_rows, n_features, self.config)
 
     def _probs(self, seqs: np.ndarray) -> np.ndarray:
         return _forward_batch(self, seqs)[1]
@@ -117,18 +124,15 @@ class GruModel:
 
 
 @dataclass(frozen=True)
-class LinearModel:
+class LinearModel(_Classifier):
     n_classes: int
     w: np.ndarray
     b: np.ndarray
     norm: NormStats | None = None
 
-    def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        return self._probs(self._inputs(rows))
-
-    def _inputs(self, rows) -> np.ndarray:
-        x = _checked_rows(rows, self.norm)
-        return x if self.norm is None else normalize(x, self.norm)[0]
+    def _buffer(self, n_rows: int, n_features: int) -> tuple:
+        x = np.empty((n_rows, n_features))
+        return x, x
 
     def _probs(self, x: np.ndarray) -> np.ndarray:
         return _softmax(x @ self.w.T + self.b)
@@ -138,9 +142,17 @@ class LinearModel:
         return loss, {"w": dlogits.T @ x, "b": dlogits.sum(axis=0)}
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(np.minimum(x, -x))  # -|x|, keeping a NaN's sign bit
-    return np.where(x >= 0, 1.0, e) / (e + 1.0)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(min(x, 0)) / (exp(min(x, -x)) + 1): no exponential overflows.
+
+    Given ``out``, the result goes there and ``x`` is overwritten."""
+    if out is None:
+        x, out = x.copy(), np.empty_like(x)
+    np.minimum(x, np.negative(x, out=out), out=out)  # -|x|, NaN keeps its sign
+    np.exp(out, out=out)
+    out += 1.0
+    np.exp(np.minimum(x, 0.0, out=x), out=x)
+    return np.divide(x, out, out=out)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -179,17 +191,26 @@ def _checked_rows(rows, norm: NormStats | None) -> np.ndarray:
     return rows
 
 
+def _sequence_buffer(n_rows: int, n_features: int,
+                     config: ModelConfig) -> tuple:
+    """Zeroed (n_rows, T, F) sequences and the view of their flat rows that
+    holds the features; the tail past ``n_features`` stays zero padding."""
+    want = config.seq_len * config.feat_dim
+    if n_features > want:
+        raise ValueError(
+            f"{n_features} features exceed seq_len*feat_dim = {want}"
+        )
+    padded = np.zeros((n_rows, want))
+    return (padded.reshape(n_rows, config.seq_len, config.feat_dim),
+            padded[:, :n_features])
+
+
 def reshape_to_sequences(rows: np.ndarray, config: ModelConfig) -> np.ndarray:
     """(B, n_features) -> (B, T, F), zero-padding the tail."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    want = config.seq_len * config.feat_dim
-    if rows.shape[1] > want:
-        raise ValueError(
-            f"{rows.shape[1]} features exceed seq_len*feat_dim = {want}"
-        )
-    padded = np.zeros((rows.shape[0], want))
-    padded[:, : rows.shape[1]] = rows
-    return padded.reshape(rows.shape[0], config.seq_len, config.feat_dim)
+    seqs, cols = _sequence_buffer(*rows.shape, config)
+    cols[...] = rows
+    return seqs
 
 
 def _gru_shapes(config: ModelConfig) -> dict:
@@ -229,19 +250,30 @@ def _forward_batch(model: GruModel, seqs: np.ndarray, keep: bool = False):
     w3 = np.concatenate((model.wz, model.wr, model.wh)).T
     u2 = np.concatenate((model.uz, model.ur)).T
     b2 = np.concatenate((model.bz, model.br))
-    h = np.zeros((b, hidden))
     hs = np.empty((b, t_steps, hidden))
     gates = np.empty((b, t_steps, 3 * hidden)) if keep else None
+    # every step's elementwise work lands in these, made once per call
+    xw = np.empty((b, 3 * hidden))
+    pre, zr = np.empty((b, 2 * hidden)), np.empty((b, 2 * hidden))
+    h = np.zeros((b, hidden))
+    cand, tmp = np.empty((b, hidden)), np.empty((b, hidden))
+    z, r = zr[:, :hidden], zr[:, hidden:]
     for t in range(t_steps):
-        xw = seqs[:, t, :] @ w3
-        zr = _sigmoid(xw[:, : 2 * hidden] + h @ u2 + b2)
-        z, r = zr[:, :hidden], zr[:, hidden:]
-        cand = np.tanh(xw[:, 2 * hidden :] + (r * h) @ model.uh.T + model.bh)
-        h = (1.0 - z) * h + z * cand
-        hs[:, t, :] = h
+        np.matmul(seqs[:, t, :], w3, out=xw)
+        np.add(xw[:, : 2 * hidden], np.matmul(h, u2, out=pre), out=pre)
+        pre += b2
+        _sigmoid(pre, out=zr)
+        np.matmul(np.multiply(r, h, out=tmp), model.uh.T, out=cand)
+        np.add(xw[:, 2 * hidden :], cand, out=cand)
+        cand += model.bh
+        np.tanh(cand, out=cand)
         if keep:
             gates[:, t, : 2 * hidden] = zr
             gates[:, t, 2 * hidden :] = cand
+        # h = (1 - z) * h + z * cand
+        np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
+        np.add(tmp, np.multiply(z, cand, out=cand), out=h)
+        hs[:, t, :] = h
     probs = _softmax(hs.reshape(b, -1) @ model.w_out.T + model.b_out)
     return hs, probs, gates
 
@@ -382,9 +414,11 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, model) -> tuple:
     """The shared Adam loop: split, normalize, shuffle, step, history.
 
     ``model`` is the untrained ``GruModel`` or ``LinearModel``; it gets the
-    training split's normalization. Each split goes through ``model._inputs``
-    once, so each history row equals ``predict_proba`` of that epoch's model
-    over the full split.
+    training split's normalization. Each split's rows are gathered in blocks
+    into the one buffer the model reads, and scaled there, as
+    ``model._inputs`` would scale them; so each history row equals
+    ``predict_proba`` of that epoch's model over the full split. An epoch
+    whose loss or weights are not finite is a ``DivergenceError``.
     """
     rows, y = _dataset_arrays(dataset)
     missing = sorted(set(range(model.n_classes)) - set(np.unique(y).tolist()))
@@ -398,11 +432,19 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, model) -> tuple:
             f"val_fraction {tc.val_fraction} splits {len(y)} rows into "
             f"{len(train_idx)} training and {len(val_idx)} validation rows "
             f"(smallest class: {np.unique(y, return_counts=True)[1].min()})")
-    x_train = rows[train_idx]
-    model = replace(model, norm=NormStats.of(x_train))
-    inputs = model._inputs(x_train)
-    del x_train  # the model's inputs are all the loop reads
-    val_inputs = model._inputs(rows[val_idx])
+
+    def gathered(idx):  # no copy of rows[idx] but the model's input
+        inputs, cols = model._buffer(len(idx), rows.shape[1])
+        step = max(1, _BLOCK_BYTES // (cols.shape[1] * cols.itemsize))
+        for start in range(0, len(idx), step):
+            cols[start : start + step] = rows[idx[start : start + step]]
+        return inputs, cols
+
+    inputs, cols = gathered(train_idx)
+    model = replace(model, norm=NormStats.of(cols, dataset.feature_names))
+    model.norm.apply_in_place(cols)
+    val_inputs, cols = gathered(val_idx)
+    model.norm.apply_in_place(cols)
     y_train, y_val = y[train_idx], y[val_idx]
     adam = _Adam(tc.learning_rate)
     history = []
@@ -410,12 +452,20 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, model) -> tuple:
         order = rng_stream(tc.seed, f"shuffle:{epoch}").permutation(
             len(y_train)
         )
-        for start in range(0, len(order), tc.batch_size):
-            batch = order[start : start + tc.batch_size]
-            _, grads = model._loss_and_grad(inputs[batch], y_train[batch], tc)
-            model = replace(model, **adam.step(model, grads))
-        train_loss, train_acc = _epoch_stats(model._probs(inputs), y_train)
-        val_loss, val_acc = _epoch_stats(model._probs(val_inputs), y_val)
+        with np.errstate(all="ignore"):  # a diverging run is checked below
+            for start in range(0, len(order), tc.batch_size):
+                batch = order[start : start + tc.batch_size]
+                _, grads = model._loss_and_grad(inputs[batch], y_train[batch],
+                                                tc)
+                model = replace(model, **adam.step(model, grads))
+            train_loss, train_acc = _epoch_stats(model._probs(inputs), y_train)
+            val_loss, val_acc = _epoch_stats(model._probs(val_inputs), y_val)
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)
+                and all(np.isfinite(getattr(model, n)).all() for n in grads)):
+            raise DivergenceError(
+                f"training diverged in epoch {epoch}: training loss "
+                f"{train_loss:g}, validation loss {val_loss:g} at learning "
+                f"rate {tc.learning_rate:g}; try a smaller learning rate")
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "train_acc": train_acc, "val_loss": val_loss,
                         "val_acc": val_acc})

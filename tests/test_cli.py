@@ -226,6 +226,38 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e307, 1e200])
+    def test_overflowing_z_score_data_error(self, tmp_path, labeled_csv,
+                                            capsys, scale):
+        # x1e307 overflowed to a NaN model; x1e200 z-scored the column to 0
+        data = load_feature_csv(labeled_csv).features
+        rows = data.rows.copy()
+        rows[:, 5] *= scale
+        feats = tmp_path / "huge.csv"
+        save_feature_csv(FeatureMatrix(rows, data.feature_names, data.labels),
+                         feats)
+        model = tmp_path / "m.bin"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("train", "--features", str(feats), "--model",
+                       str(model)) == 2
+        err = capsys.readouterr().err
+        assert "'f5'" in err and "z-score" in err and not caught
+        assert not model.exists()
+
+    @pytest.mark.parametrize("kind", ["gru", "linear"])
+    def test_diverging_training_data_error(self, tmp_path, labeled_csv,
+                                           capsys, kind):
+        model = tmp_path / "m.bin"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("train", "--features", str(labeled_csv), "--model",
+                       str(model), "--model-kind", kind, "--lr",
+                       "1e308") == 2
+        err = capsys.readouterr().err
+        assert "diverged in epoch 0" in err and "1e+308" in err
+        assert not caught and not model.exists()
+
     def test_corrupt_model_is_data_error(self, tmp_path, labeled_csv):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")

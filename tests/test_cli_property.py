@@ -1,18 +1,22 @@
-"""`denoise` with every method and `extract-features`, run through `cli.main`
-on raw CSVs of any shape and scale the reader accepts: each run either
-writes finite output of the input's shape or fails with an `error:` line."""
+"""`denoise` with every method, `extract-features`, and `train`, `eval` and
+`predict`, run through `cli.main` on CSVs of any shape and scale the readers
+accept: each run either writes finite output of the input's shape or fails
+with an `error:` line."""
 
 import contextlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eegscrub import FeatureMatrix, save_feature_csv
 from eegscrub.cli import main
 from eegscrub.denoise import METHOD_IDS
+from eegscrub.gru import load_model
 from eegscrub.rng import rng_stream
 
 FEATURES_PER_CHANNEL = 12
@@ -86,3 +90,72 @@ def test_denoise_and_extract_exit_cleanly(table, window_s):
             assert feats.shape[1] == FEATURES_PER_CHANNEL * table.shape[1]
             assert len(feats) >= 1
             assert np.isfinite(feats).all()
+
+
+@st.composite
+def feature_tables(draw):
+    """1-200 labelled rows of 1-40 columns; each column seeded noise, a
+    constant or all zeros, at an amplitude from 1e-300 to 1e300. The labels
+    cycle through the three classes in a seeded order."""
+    n = draw(st.integers(1, 200))
+    rng = rng_stream(draw(st.integers(0, 2**16)), "cli-train-property")
+    columns = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["noise", "constant", "zero"]))
+        amplitude = 10.0 ** draw(st.floats(-300, 300))
+        if kind == "noise":
+            columns.append(amplitude * rng.normal(size=n))
+        else:
+            columns.append(np.full(n, amplitude if kind == "constant" else 0.0))
+    return np.column_stack(columns), rng.permutation(np.arange(n) % 3)
+
+
+def planted(scale: float) -> tuple:
+    """60 rows of 4 noise columns, the third scaled by ``scale``."""
+    labels = np.arange(60) % 3
+    rows = rng_stream(0, "cli-train-planted").normal(size=(60, 4))
+    rows[:, 0] += 2.0 * labels
+    rows[:, 2] *= scale
+    return rows, labels
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=feature_tables(), kind=st.sampled_from(["gru", "linear"]),
+       lr=st.sampled_from(["1e-3", "0.5", "1e308"]))
+@example(table=planted(1e307), kind="gru", lr="1e-3")
+@example(table=planted(1e200), kind="linear", lr="1e-3")
+@example(table=planted(1.0), kind="gru", lr="1e308")
+@example(table=planted(1.0), kind="linear", lr="1e308")
+def test_train_eval_predict_exit_cleanly(table, kind, lr):
+    rows, labels = table
+    matrix = FeatureMatrix(rows, [f"f{c}" for c in range(rows.shape[1])],
+                           labels.tolist())
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        feats, model = Path(tmp) / "feats.csv", Path(tmp) / "model.bin"
+        save_feature_csv(matrix, feats)
+        code, stderr = run_cli(["train", "--features", str(feats), "--model",
+                                str(model), "--model-kind", kind, "--lr", lr,
+                                "--epochs", "2", "--hidden", "4"])
+        assert "Traceback" not in stderr
+        if code != 0:
+            assert code in (1, 2) and stderr.startswith("error: "), stderr
+            assert not model.exists()
+        else:
+            loaded = load_model(model)
+            arrays = [loaded.norm.loc, loaded.norm.scale] + [
+                v for v in vars(loaded).values() if isinstance(v, np.ndarray)]
+            assert all(np.isfinite(a).all() for a in arrays)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(["eval", "--features", str(feats), "--model",
+                                str(model)]) == (0, "")
+            out = Path(tmp) / "predictions.csv"
+            assert run_cli(["predict", "--features", str(feats), "--model",
+                            str(model), "--out", str(out)]) == (0, "")
+            probs = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2,
+                               usecols=(3, 4, 5))
+            assert probs.shape == (len(rows), 3)
+            assert np.isfinite(probs).all()
+        assert not [w for w in caught if issubclass(w.category,
+                                                    RuntimeWarning)]
