@@ -26,6 +26,7 @@ from .denoise import (  # noqa: F401
     remove_motion_ssa,
     remove_muscle_ssa_cca,
 )
+from .errors import DegenerateInputError
 from .noise import NoiseSpec, blink_bump, compute_metrics, gen_noise, mix_at_snr
 from .rng import rng_stream
 
@@ -65,6 +66,8 @@ def _run_cell_seed(method: str, spec: NoiseSpec, snr_db: float, seed: int,
     cleans = [make_clean(seed, n, fs, channel=c) for c in range(n_ch)]
     mixed_channels = [mix_at_snr(clean, noise, snr_db)[0] for clean in cleans]
     in_metrics = [compute_metrics(c, m) for c, m in zip(cleans, mixed_channels)]
+    if not all(m["rmse"] for m in in_metrics):  # the mix equals the clean
+        raise DegenerateInputError(f"SNR {snr_db:g} dB rounds the noise away")
     if entry.needs == "references":
         ref_spec = replace(realized, seed=seed + REFERENCE_SEED_OFFSET)
         inputs = ([gen_noise(ref_spec, n, fs)],)

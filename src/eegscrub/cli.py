@@ -310,15 +310,9 @@ def _cmd_eval(args, seed: int) -> tuple:
     for i, name in enumerate(CLASS_NAMES):
         print(f"{name}: precision {result['precision'][i]:.4f} "
               f"recall {result['recall'][i]:.4f} f1 {result['f1'][i]:.4f}")
-    return {}, {
-        "accuracy": result["accuracy"],
-        "precision": result["precision"],
-        "recall": result["recall"],
-        "f1": result["f1"],
-        "flags": result["flags"],
-        "confusion_counts": result["confusion"],
-        "class_names": CLASS_NAMES,
-    }
+    confusion = result.pop("confusion")
+    return {}, {**result, "confusion_counts": confusion,
+                "class_names": CLASS_NAMES}
 
 
 def _cmd_predict(args, seed: int) -> tuple:

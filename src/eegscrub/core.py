@@ -2,8 +2,8 @@
 
 These are the primitives every other module builds on. All values are
 immutable after construction (sample buffers are marked read-only), so they
-are safe to share across threads. ``apply_filter`` and ``butter_sos`` import
-scipy on first use, so code that never filters never loads it.
+are safe to share across threads. ``apply_filter`` imports scipy on first
+use, so code that never filters never loads it.
 """
 
 import functools
@@ -159,18 +159,12 @@ class FilterSpec:
 
 @functools.lru_cache(maxsize=64)
 def _butter_design(order: int, band, kind: str, fs: float) -> np.ndarray:
+    """A Butterworth design's second-order sections, cached and read-only."""
     from scipy import signal as sps
 
     sos = sps.butter(order, band, btype=kind, output="sos", fs=fs)
     sos.flags.writeable = False
     return sos
-
-
-def butter_sos(order: int, band, kind: str, fs: float) -> np.ndarray:
-    """Second-order sections of a Butterworth ``kind`` filter with corner(s)
-    ``band`` in Hz. Each design is computed once; every caller gets its own
-    writeable copy, as ``sosfiltfilt`` refuses a read-only one."""
-    return _butter_design(order, band, kind, fs).copy()
 
 
 def apply_filter(signal: Signal, spec: FilterSpec) -> Signal:
@@ -192,7 +186,8 @@ def apply_filter(signal: Signal, spec: FilterSpec) -> Signal:
         y = sps.filtfilt(b, a, x, padlen=padlen)
     else:
         wn = spec.edges if spec.kind == "bandpass" else spec.edges[0]
-        sos = butter_sos(spec.order, wn, spec.kind, signal.fs)
+        # each call filters with its own copy: sosfiltfilt refuses a read-only one
+        sos = _butter_design(spec.order, wn, spec.kind, signal.fs).copy()
         padlen = 3 * (2 * sos.shape[0] + 1)
         if len(x) <= padlen:
             raise TooShortError(f"need more than {padlen} samples for this design")

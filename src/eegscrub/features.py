@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Recording, epoch_view
+from .core import _BLOCK_BYTES, Recording, epoch_view
 from .errors import NumericDegeneracyError
 
 BANDS = (
@@ -30,7 +30,6 @@ STAT_NAMES = ("mean", "variance", "min", "max", "skewness", "kurtosis")
 FEATURE_NAMES = tuple(b[0] for b in BANDS) + ("entropy",) + STAT_NAMES
 FEATURES_PER_CHANNEL = len(FEATURE_NAMES)
 _MIN_SEG_LEN = 8  # shortest Welch segment, so the shortest feature window
-_BLOCK_BYTES = 1 << 20  # bytes of samples per block, over all channels
 
 
 @dataclass(frozen=True)

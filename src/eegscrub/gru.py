@@ -81,10 +81,16 @@ class _Classifier:
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
         return self._probs(self._inputs(rows))
 
-    def _inputs(self, rows) -> np.ndarray:
+    def _inputs(self, rows, idx=None) -> np.ndarray:
+        """``rows`` (``rows[idx]`` given ``idx``) copied into the buffer the
+        model reads, at most ``_BLOCK_BYTES`` at a time, and scaled there."""
         rows = _checked_rows(rows, self.norm)
-        inputs, cols = self._buffer(*rows.shape)
-        cols[...] = rows
+        n = len(rows) if idx is None else len(idx)
+        inputs, cols = self._buffer(n, rows.shape[1])
+        step = max(1, _BLOCK_BYTES // (cols.shape[1] * cols.itemsize))
+        for start in range(0, n, step):
+            part = slice(start, start + step)
+            cols[part] = rows[part] if idx is None else rows[idx[part]]
         if self.norm is not None:  # scaled inside the one copy
             self.norm.apply_in_place(cols)
         return inputs
@@ -414,9 +420,9 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, model) -> tuple:
     """The shared Adam loop: split, normalize, shuffle, step, history.
 
     ``model`` is the untrained ``GruModel`` or ``LinearModel``; it gets the
-    training split's normalization. Each split's rows are gathered in blocks
-    into the one buffer the model reads, and scaled there, as
-    ``model._inputs`` would scale them; so each history row equals
+    training split's normalization. ``model._inputs`` gathers each split's
+    rows into the one buffer the model reads, and scales them there; so
+    each history row equals
     ``predict_proba`` of that epoch's model over the full split. An epoch
     whose loss or weights are not finite is a ``DivergenceError``.
     """
@@ -433,18 +439,12 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, model) -> tuple:
             f"{len(train_idx)} training and {len(val_idx)} validation rows "
             f"(smallest class: {np.unique(y, return_counts=True)[1].min()})")
 
-    def gathered(idx):  # no copy of rows[idx] but the model's input
-        inputs, cols = model._buffer(len(idx), rows.shape[1])
-        step = max(1, _BLOCK_BYTES // (cols.shape[1] * cols.itemsize))
-        for start in range(0, len(idx), step):
-            cols[start : start + step] = rows[idx[start : start + step]]
-        return inputs, cols
-
-    inputs, cols = gathered(train_idx)
+    inputs = model._inputs(rows, train_idx)  # unscaled: no norm yet
+    # both buffers' flat rows begin with the features
+    cols = inputs.reshape(len(train_idx), -1)[:, : rows.shape[1]]
     model = replace(model, norm=NormStats.of(cols, dataset.feature_names))
     model.norm.apply_in_place(cols)
-    val_inputs, cols = gathered(val_idx)
-    model.norm.apply_in_place(cols)
+    val_inputs = model._inputs(rows, val_idx)
     y_train, y_val = y[train_idx], y[val_idx]
     adam = _Adam(tc.learning_rate)
     history = []
@@ -498,9 +498,7 @@ def evaluate(model, dataset: FeatureMatrix) -> dict:
     """Accuracy, per-class precision/recall/F1, and the confusion counts:
     ``confusion[i, j]`` rows of true class i predicted as class j."""
     rows, y = _dataset_arrays(dataset)
-    if len(y) == 0:
-        raise ValueError("test set must be nonempty")
-    probs = model.predict_proba(rows)
+    probs = model.predict_proba(rows)  # refuses a table without rows
     predicted = probs.argmax(axis=1)
     c = probs.shape[1]
     counts = np.zeros((c, c), dtype=int)
@@ -585,7 +583,7 @@ def _header_problem(header) -> str | None:
 
 def _shape_problem(mc: ModelConfig | None, n_classes: int,
                    arrays: dict) -> str | None:
-    """The first array whose shape disagrees with the config, or None.
+    """The first array whose shape or values do not fit the config, or None.
 
     ``mc`` is None for a linear model, whose feature count is ``w``'s width.
     """
@@ -606,6 +604,11 @@ def _shape_problem(mc: ModelConfig | None, n_classes: int,
         return (f"norm_loc and norm_scale have shapes {list(loc.shape)} and "
                 f"{list(scale.shape)}; the model wants one length from "
                 f"{widths.start} to {widths.stop - 1}")
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            return f"array {name!r} holds values that are not finite"
+    if scale is not None and not (scale > 0).all():
+        return "array 'norm_scale' holds a sigma <= 0"
     return None
 
 

@@ -2,10 +2,10 @@
 
 Power is defined as the mean square over the full record, so SNR arithmetic
 is bit-reproducible. Every generator draws from a counter-based stream keyed
-by (seed, kind), making sequences independent of call order. scipy is
-imported on first use, by the band-limiting filters of ``baseline_wander``
-and ``emg_burst``; the other kinds and signals shorter than 64 samples
-never load it.
+by (seed, kind), making sequences independent of call order.
+``baseline_wander`` and ``emg_burst`` are band-limited by ``apply_filter``,
+which imports scipy on first use; the other kinds and signals shorter than
+64 samples never load it.
 """
 
 import math
@@ -13,20 +13,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Signal, butter_sos, check_fs, pearson
+from .core import FilterSpec, Signal, apply_filter, check_fs, pearson
 from .errors import DegenerateInputError, InvalidSpecError
 from .rng import rng_stream
 
 NOISE_KINDS = ("awgn", "powerline", "baseline_wander", "emg_burst", "blink")
 
+_AMP_MAX = 1e150  # so the squares of every kind's peaks stay finite
 # kind-specific parameter defaults and admissible ranges
 _PARAM_SPECS = {
-    "awgn": {"sigma": (1.0, 0.0, math.inf)},
-    "powerline": {"freq": (50.0, 1.0, 1000.0), "amp": (1.0, 0.0, math.inf)},
-    "baseline_wander": {"freq": (0.3, 0.01, 1.0), "amp": (1.0, 0.0, math.inf)},
-    "emg_burst": {"duty": (0.5, 0.0, 1.0), "sigma": (1.0, 0.0, math.inf)},
+    "awgn": {"sigma": (1.0, 0.0, _AMP_MAX)},
+    "powerline": {"freq": (50.0, 1.0, 1000.0), "amp": (1.0, 0.0, _AMP_MAX)},
+    "baseline_wander": {"freq": (0.3, 0.01, 1.0), "amp": (1.0, 0.0, _AMP_MAX)},
+    "emg_burst": {"duty": (0.5, 0.0, 1.0), "sigma": (1.0, 0.0, _AMP_MAX)},
     "blink": {"width": (0.3, 0.01, 10.0), "rate": (12.0, 0.0, 600.0),
-              "amp": (1.0, 0.0, math.inf)},
+              "amp": (1.0, 0.0, _AMP_MAX)},
 }
 
 
@@ -134,27 +135,19 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         tone = np.sin(2.0 * np.pi * p["freq"] * t + phase)
         walk = np.cumsum(rng.normal(0.0, 1.0, n))
-        if n >= 64 and fs > 2.0:
-            from scipy import signal as sps
-
-            # keep the random-walk part band-limited below 1 Hz
-            sos = butter_sos(2, min(1.0, 0.45 * fs), "lowpass", fs)
-            walk = sps.sosfiltfilt(sos, walk)
+        if n >= 64 and fs > 2.0:  # keep the random walk below 1 Hz
+            below = FilterSpec("lowpass", (min(1.0, 0.45 * fs),), order=2)
+            walk = apply_filter(Signal(walk, fs), below).samples
         scale = np.abs(walk).max()
         if scale > 0:
             walk = walk / scale
         samples = p["amp"] * (tone + walk)
     elif spec.kind == "emg_burst":
         raw = rng.normal(0.0, p["sigma"], n)
-        low, high = 20.0, 60.0
-        nyq = fs / 2
-        if high >= nyq:
-            high = 0.95 * nyq
+        low, high = 20.0, (60.0 if 60.0 < fs / 2 else 0.95 * (fs / 2))
         if n >= 64 and low < high:
-            from scipy import signal as sps
-
-            sos = butter_sos(4, (low, high), "bandpass", fs)
-            raw = sps.sosfiltfilt(sos, raw)
+            raw = apply_filter(Signal(raw, fs),
+                               FilterSpec("bandpass", (low, high))).samples
         burst = max(1, int(round(0.25 * fs)))  # 250 ms on-bursts
         on = rng.uniform(size=math.ceil(n / burst)) < p["duty"]
         envelope = np.repeat(on, burst)[:n]
@@ -179,20 +172,33 @@ def gen_noise(spec: NoiseSpec, n: int, fs: float) -> Signal:
 
 
 def mix_at_snr(clean: Signal, noise: Signal, snr_db: float) -> tuple:
-    """Add noise scaled so the clean-to-noise power ratio hits snr_db."""
+    """Add noise scaled so the clean-to-noise power ratio hits snr_db. Mean
+    squares out of (0, inf) are a ``DegenerateInputError``, an SNR that
+    scales the noise out of the float range an ``InvalidSpecError``."""
     if len(clean) != len(noise):
         raise ValueError(
             f"length mismatch: clean {len(clean)}, noise {len(noise)}"
         )
-    p_clean = _power(clean.samples)
-    p_noise = _power(noise.samples)
-    if p_clean == 0.0 or p_noise == 0.0:
-        raise DegenerateInputError("clean and noise must not be all-zero")
+    with np.errstate(over="ignore"):
+        p_clean, p_noise = _power(clean.samples), _power(noise.samples)
+    if not (0.0 < p_clean < math.inf and 0.0 < p_noise < math.inf):
+        raise DegenerateInputError(
+            f"the mean squares of clean ({p_clean:g}) and noise ({p_noise:g}) "
+            "must be positive finite floats; neither may be all-zero")
     if math.isinf(snr_db) and snr_db > 0:
         return clean, MixReport(achieved_snr_db=math.inf, noise_scale=0.0)
-    scale = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
-    mixed = clean.with_samples(clean.samples + scale * noise.samples)
-    achieved = 10.0 * math.log10(p_clean / _power(scale * noise.samples))
+    try:  # math raises where a power leaves the float range
+        scale = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
+        with np.errstate(over="ignore"):
+            scaled = scale * noise.samples
+            achieved = 10.0 * math.log10(p_clean / _power(scaled))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        achieved = math.nan
+    if not math.isfinite(achieved):
+        raise InvalidSpecError(
+            f"SNR {snr_db:g} dB needs a noise scale out of the float range "
+            f"at mean squares {p_clean:g} (clean) and {p_noise:g} (noise)")
+    mixed = clean.with_samples(clean.samples + scaled)
     return mixed, MixReport(achieved_snr_db=achieved, noise_scale=scale)
 
 
@@ -206,9 +212,8 @@ def compute_metrics(clean: Signal, test: Signal) -> dict:
         raise ValueError("need at least 2 samples")
     c = clean.samples
     x = test.samples
-    err = x - c
-    rmse = float(np.sqrt(np.mean(err**2)))
-    p_err = _power(err)
+    p_err = _power(x - c)
+    rmse = math.sqrt(p_err)
     snr_db = math.inf if p_err == 0.0 else 10.0 * math.log10(_power(c) / p_err)
     corr = pearson(c, x)
     return {

@@ -1,8 +1,9 @@
 import json
+import math
 import re
 import shlex
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from eegscrub import (
 )
 from eegscrub.cli import build_parser, main
 from eegscrub.denoise import METHOD_IDS, METHODS
-from eegscrub.gru import MODEL_MAGIC, TrainConfig
+from eegscrub.core import NormStats
+from eegscrub.errors import DataFormatError
+from eegscrub.gru import MODEL_MAGIC, TrainConfig, load_model, save_model
 
 
 def run(*argv):
@@ -443,6 +446,25 @@ class TestSimulate:
             f"error: {message}, need a finite count >= 1\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("noise, snr, message", [
+        ("kind=awgn", "4000", "SNR 4000 dB needs a noise scale out"),
+        ("kind=awgn", "-4000", "SNR -4000 dB needs a noise scale out"),
+        ("kind=powerline,amp=1e200", "0", "amp=1e+200 outside [0.0, 1e+150]"),
+        ("kind=awgn,sigma=1e-200", "0", "and noise (0) must be positive"),
+        ("kind=emg_burst,sigma=1e308", "0",
+         "sigma=1e+308 outside [0.0, 1e+150]"),
+    ])
+    def test_out_of_range_noise_or_snr_data_error(self, tmp_path, capsys,
+                                                  noise, snr, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--out", str(tmp_path / "raw.csv"),
+                       "--noise", noise, f"--snr={snr}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EEGSCRUB_SEED", "42")
         out = tmp_path / "env.csv"
@@ -598,6 +620,23 @@ class TestBench:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr, message", [
+        ("4000", "SNR 4000 dB needs a noise scale out"),
+        ("-4000", "SNR -4000 dB needs a noise scale out"),
+        ("3000", "SNR 3000 dB rounds the noise away"),
+    ])
+    def test_out_of_range_snr_data_error(self, tmp_path, capsys, snr,
+                                         message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("bench", "--out", str(tmp_path / "lb.csv"),
+                       "--methods", "identity", "--noises", "kind=awgn",
+                       f"--snrs={snr}", "--seeds", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cascade_lms_on_full_duty_emg(self, tmp_path):
         out = tmp_path / "leaderboard.csv"
         assert run("bench", "--methods", "cascade_lms", "--noises",
@@ -672,6 +711,47 @@ class TestMalformedModel:
                    "--model", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+
+class TestImpossibleModelValues:
+    # a damaged file, or a diverged model saved before training checked
+    @pytest.mark.parametrize("kind", ["gru", "linear"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("name, value", [
+        ("weights", math.nan), ("norm_loc", math.inf), ("norm_scale", 0.0),
+        ("norm_scale", -1.0)])
+    def test_refused_by_name(self, tmp_path, labeled_csv, capsys, kind,
+                             command, name, value):
+        model = tmp_path / "model.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), "--model-kind", kind, "--epochs", "1",
+                   "--hidden", "4") == 0
+        loaded = load_model(model)
+        if name == "weights":  # every weight of the output layer
+            name = "w_out" if kind == "gru" else "w"
+            damaged = replace(loaded, **{name: np.full_like(
+                getattr(loaded, name), value)})
+        else:  # one entry of the normalization
+            arrays = {"norm_loc": loaded.norm.loc.copy(),
+                      "norm_scale": loaded.norm.scale.copy()}
+            arrays[name][3] = value
+            damaged = replace(loaded, norm=NormStats(loc=arrays["norm_loc"],
+                                                     scale=arrays["norm_scale"]))
+        save_model(damaged, model)
+        with pytest.raises(DataFormatError, match=f"{model}: array '{name}'"):
+            load_model(model)
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "preds.csv")] * (command == "predict")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, "--features", str(labeled_csv), "--model",
+                       str(model), *out) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert str(model) in captured.err and repr(name) in captured.err
+        assert not (tmp_path / "preds.csv").exists()
 
 
 class TestModelTableMismatch:

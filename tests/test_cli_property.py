@@ -1,7 +1,7 @@
-"""`denoise` with every method, `extract-features`, and `train`, `eval` and
-`predict`, run through `cli.main` on CSVs of any shape and scale the readers
-accept: each run either writes finite output of the input's shape or fails
-with an `error:` line."""
+"""`simulate`, `denoise` with every method, `extract-features`, and `train`,
+`eval` and `predict`, run through `cli.main` on CSVs of any shape and scale
+the readers accept and on any noise spec and SNR: each run either writes
+finite output of the expected shape or fails with an `error:` line."""
 
 import contextlib
 import io
@@ -17,6 +17,7 @@ from eegscrub import FeatureMatrix, save_feature_csv
 from eegscrub.cli import main
 from eegscrub.denoise import METHOD_IDS
 from eegscrub.gru import load_model
+from eegscrub.noise import _PARAM_SPECS, NOISE_KINDS
 from eegscrub.rng import rng_stream
 
 FEATURES_PER_CHANNEL = 12
@@ -90,6 +91,51 @@ def test_denoise_and_extract_exit_cleanly(table, window_s):
             assert feats.shape[1] == FEATURES_PER_CHANNEL * table.shape[1]
             assert len(feats) >= 1
             assert np.isfinite(feats).all()
+
+
+@st.composite
+def noise_texts(draw):
+    """A noise spec text of any kind, each parameter at an edge of its
+    range or inside it, with a seed."""
+    kind = draw(st.sampled_from(NOISE_KINDS))
+    items = [f"kind={kind}"]
+    for name, (_, lo, hi) in _PARAM_SPECS[kind].items():
+        value = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
+        items.append(f"{name}={value!r}")
+    return ",".join(items + [f"seed={draw(st.integers(0, 2**16))}"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(duration=st.floats(0.01, 10.0),
+       fs=st.one_of(st.sampled_from([2.0, 120.0]), st.floats(0.05, 2.0),
+                    st.floats(2.0, 120.0), st.floats(120.0, 600.0)),
+       channels=st.integers(1, 8), noise=noise_texts(),
+       snr=st.floats(-4000.0, 4000.0))
+@example(duration=8.0, fs=256.0, channels=4, noise="kind=awgn", snr=4000.0)
+@example(duration=8.0, fs=256.0, channels=4, noise="kind=awgn", snr=-4000.0)
+@example(duration=8.0, fs=256.0, channels=4,
+         noise="kind=powerline,amp=1e200", snr=0.0)
+@example(duration=8.0, fs=256.0, channels=4, noise="kind=awgn,sigma=1e-200",
+         snr=0.0)
+@example(duration=8.0, fs=256.0, channels=4,
+         noise="kind=emg_burst,sigma=1e308", snr=0.0)
+def test_simulate_exits_cleanly(duration, fs, channels, noise, snr):
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = Path(tmp) / "sim.csv"
+        code, stderr = run_cli(["simulate", "--out", str(out), "--duration",
+                                repr(duration), "--fs", repr(fs),
+                                "--channels", str(channels), "--noise", noise,
+                                f"--snr={snr!r}"])
+        table = check_outcome(code, stderr, out)
+        if table is not None:
+            assert table.shape == (round(duration * fs), channels)
+            assert np.isfinite(table).all()
+        elif code == 2:  # a usage error adds the usage line
+            assert len(stderr.splitlines()) == 1, stderr
+        assert not [w for w in caught if issubclass(w.category,
+                                                    RuntimeWarning)]
 
 
 @st.composite

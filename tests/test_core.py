@@ -11,7 +11,7 @@ from eegscrub import (
     normalize,
     rng_stream,
 )
-from eegscrub.core import _butter_design, butter_sos
+from eegscrub.core import _butter_design
 from eegscrub.decompose import (
     dwt_forward,
     dwt_inverse,
@@ -128,14 +128,17 @@ class TestApplyFilter:
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
     def test_design_shared_but_copies_writeable(self):
-        first = butter_sos(4, (8.0, 13.0), "bandpass", 256.0)
-        first[:] = 0.0  # a caller's edits reach no other caller
-        again = butter_sos(4, (8.0, 13.0), "bandpass", 256.0)
-        assert again.flags.writeable and again is not first
-        assert not np.array_equal(again, first)
+        # the cached design is read-only, which sosfiltfilt refuses, so
+        # each call must filter with its own copy
+        spec = FilterSpec(kind="bandpass", edges=(8.0, 13.0), order=4)
+        x = sine(10.0, n=512)
+        first = apply_filter(x, spec)
+        design = _butter_design(4, (8.0, 13.0), "bandpass", 256.0)
+        assert not design.flags.writeable
         hits = _butter_design.cache_info().hits
-        butter_sos(4, (8.0, 13.0), "bandpass", 256.0)
+        again = apply_filter(x, spec)
         assert _butter_design.cache_info().hits == hits + 1
+        assert np.array_equal(again.samples, first.samples)
 
     def test_zero_phase(self):
         # in-band sine passes with zero lag at the cross-correlation peak

@@ -642,9 +642,16 @@ class TestCommonContracts:
 
 @pytest.mark.parametrize("method_id", METHOD_IDS)
 def test_method_params_match_signature(method_id):
-    # each table default must be the function's own keyword default
+    # each table default must be the function's own keyword default, of the
+    # type the command line parses, so the CLI, the library and the bench
+    # run one operating point
     spec = METHODS[method_id]
     keywords = inspect.signature(getattr(denoise, spec.func)).parameters
     for param in spec.params:
         assert param.name in keywords
-        assert param.default == keywords[param.name].default, param.name
+        own = keywords[param.name]
+        assert own.kind in (own.POSITIONAL_OR_KEYWORD, own.KEYWORD_ONLY)
+        assert param.default == own.default, param.name
+        if param.default is not None:
+            assert isinstance(param.default, param.type), param.name
+            assert isinstance(own.default, param.type), param.name

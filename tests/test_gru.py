@@ -186,6 +186,22 @@ def test_predict_proba_on_zero_rows_names_count_and_width(kind):
         model.predict_proba(np.empty((0, 12)))
 
 
+@pytest.mark.parametrize("kind", ["gru", "linear"])
+def test_evaluate_on_zero_rows_names_count_and_width(kind):
+    data = blob_dataset(n_per_class=10)
+    tc = TrainConfig(epochs=1, batch_size=8, seed=0)
+    if kind == "gru":
+        model, _ = train(data, ModelConfig.for_features(
+            data.n_features, 3, hidden_size=4), tc)
+    else:
+        model, _ = train_linear_baseline(data, tc)
+    empty = FeatureMatrix(np.empty((0, data.n_features)), data.feature_names,
+                          ())
+    with pytest.raises(DataFormatError, match="has 0 rows; the model needs "
+                       f"at least 1 row of {data.n_features} features"):
+        evaluate(model, empty)
+
+
 class TestLossAndGrad:
     def test_zero_weight_loss_is_ln_c(self):
         from dataclasses import replace

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,56 @@ class TestMixAtSnr:
             mix_at_snr(zeros, clean, 0.0)
         with pytest.raises(DegenerateInputError):
             mix_at_snr(clean, zeros, 0.0)
+
+
+    # at -3070 dB the scale is finite, but the scaled noise's sum of
+    # squares overflows
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3070.0, -math.inf,
+                                        math.nan])
+    def test_snr_out_of_float_range_named(self, snr_db):
+        clean = unit_sine()
+        noise = gen_noise(NoiseSpec("awgn", {}, seed=1), len(clean), 256.0)
+        with pytest.raises(InvalidSpecError, match=f"SNR {snr_db:g} dB"):
+            mix_at_snr(clean, noise, snr_db)
+
+    @pytest.mark.parametrize("noise_scale", [1e-200, 1e200])
+    def test_power_out_of_float_range_refused(self, noise_scale):
+        # the noise is not all-zero, but its mean square under- or overflows
+        clean = unit_sine()
+        noise = Signal(samples=noise_scale * clean.samples[::-1], fs=256.0)
+        with pytest.raises(DegenerateInputError, match="and noise"):
+            mix_at_snr(clean, noise, 0.0)
+
+    @pytest.mark.parametrize("snr_db", [-3000.0, 3000.0])
+    def test_extreme_snr_inside_float_range_mixes(self, snr_db):
+        clean = unit_sine()
+        noise = gen_noise(NoiseSpec("awgn", {}, seed=1), len(clean), 256.0)
+        mixed, report = mix_at_snr(clean, noise, snr_db)
+        assert np.isfinite(mixed.samples).all()
+        assert report.achieved_snr_db == pytest.approx(snr_db, abs=1e-9)
+
+
+class TestAmplitudeCap:
+    # each kind at its largest amplitude, with the parameters that raise its
+    # peaks most: full duty, and about 100 blinks of 10 s stacked at once
+    WORST = {"awgn": {"sigma": 1e150}, "powerline": {"amp": 1e150},
+             "baseline_wander": {"amp": 1e150},
+             "emg_burst": {"sigma": 1e150, "duty": 1.0},
+             "blink": {"amp": 1e150, "rate": 600.0, "width": 10.0}}
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_power_finite_at_the_cap(self, kind):
+        for seed in range(3):
+            spec = NoiseSpec(kind, self.WORST[kind], seed=seed)
+            samples = gen_noise(spec, 2561, 256.0).samples
+            with np.errstate(over="raise"):
+                assert math.isfinite(np.mean(samples**2))
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_above_the_cap_refused(self, kind):
+        (name,) = set(self.WORST[kind]) & {"sigma", "amp"}
+        with pytest.raises(InvalidSpecError, match=f"{name}=1.01e\\+150"):
+            NoiseSpec(kind, {name: 1.01e150})
 
 
 class TestComputeMetrics:
