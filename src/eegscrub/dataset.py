@@ -168,10 +168,9 @@ def _shares(path, n, task):
         yield outs
 
 
-def _text_lines(path, start, stop):
-    """The lines of bytes ``start:stop`` of ``path``, as a file opened in
-    text mode reads them (\\r and \\r\\n read as \\n); a line ends at
-    ``stop``. Whole lines are decoded about a minimum share at a time."""
+def _blocks(path, start, stop):
+    """Bytes ``start:stop`` of ``path`` in blocks of whole lines, about a
+    minimum share each; a line ends at ``stop``."""
     with open(path, "rb") as fh:
         fh.seek(start)
         while start < stop:
@@ -181,7 +180,26 @@ def _text_lines(path, start, stop):
             if not block:  # the file got shorter
                 return
             start += len(block)
-            yield from io.TextIOWrapper(io.BytesIO(block), encoding="utf-8")
+            yield block
+
+
+def _text(block: bytes):
+    """The lines of ``block`` as a file opened in text mode reads them (\\r
+    and \\r\\n read as \\n)."""
+    return io.TextIOWrapper(io.BytesIO(block), encoding="utf-8")
+
+
+def _plain_text(block: bytes):
+    """:func:`_text` of a block without ``"`` and without a line longer
+    than csv's field size limit, else ValueError. A line is measured in
+    bytes with its end, one counted for a last line without one, so a line
+    may count as longer than its text but never as shorter."""
+    codes = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+    longest = np.diff(ends, prepend=-1, append=len(block)).max()
+    if b'"' in block or longest > csv.field_size_limit():
+        raise ValueError("a line is not plain")
+    return _text(block)
 
 
 def _read_plain(path, text_column, parse_text) -> tuple:
@@ -214,9 +232,10 @@ def _read_plain(path, text_column, parse_text) -> tuple:
         """Pickles (row count, parsed text cells), then writes the share's
         floats."""
         texts = []
+        blocks = _blocks(path, cuts[share], cuts[share + 1])
 
         def plain_lines():
-            for line in _text_lines(path, cuts[share], cuts[share + 1]):
+            for line in itertools.chain.from_iterable(map(_text, blocks)):
                 if line == "\n":
                     continue
                 if ('"' in line or line.count(",") != len(header) - 1
@@ -227,13 +246,20 @@ def _read_plain(path, text_column, parse_text) -> tuple:
                     texts.append(parse_text(cell))
                 yield line
 
-        lines = plain_lines()
-        first = next(lines, None)  # before loadtxt warns of no data
+        # with no text column, loadtxt reads the text itself, refusing a
+        # row whose cell count differs from the first row's
+        lines = plain_lines() if text_idx is not None else \
+            itertools.chain.from_iterable(map(_plain_text, blocks))
+        # the first row that is not blank, before loadtxt warns of no data
+        first = next(itertools.filterfalse("\n".__eq__, lines), None)
         values = np.empty((0, len(numbers)))
         if first is not None:
-            values = np.loadtxt(itertools.chain([first], lines),
-                                delimiter=",", comments=None, dtype=float,
-                                ndmin=2, usecols=numbers)
+            values = np.loadtxt(
+                itertools.chain([first], lines), delimiter=",", comments=None,
+                dtype=float, ndmin=2,
+                usecols=None if text_idx is None else numbers)
+        if values.shape[1] != len(numbers):
+            raise ValueError("a row is not as wide as the header")
         if not np.isfinite(values).all():
             raise ValueError("a non-finite number")
         pickle.dump((len(values), texts), out)

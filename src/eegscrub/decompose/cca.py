@@ -1,9 +1,13 @@
 """Canonical correlation analysis via whitening and SVD.
 
-Both views are (channels x samples) float arrays; neither is modified.
-Covariances get a ridge of 1e-8 times their trace average before inversion so
-near-collinear channels stay solvable; anything still non-positive-definite
-after that raises instead of returning garbage correlations.
+The core, :func:`cca_from_moments`, works on covariances alone: the
+covariance of x, of y and between them give the projection weights and the
+canonical correlations, however the covariances were summed. :func:`cca`
+forms them from two (channels x samples) float arrays, which it does not
+modify, and also returns the x-side canonical variates. Covariances get a
+ridge of 1e-8 times their trace average before inversion so near-collinear
+channels stay solvable; anything still non-positive-definite after that
+raises instead of returning garbage correlations.
 """
 
 from dataclasses import dataclass
@@ -56,7 +60,6 @@ def cca(x: np.ndarray, y: np.ndarray) -> CcaResult:
         raise TooShortError(
             f"need more samples ({n}) than channels ({len(x)} and {len(y)})"
         )
-    n_pairs = min(len(x), len(y))
     yc = y - y.mean(axis=1, keepdims=True)
     del y
     xc = x - x.mean(axis=1, keepdims=True)
@@ -64,12 +67,20 @@ def cca(x: np.ndarray, y: np.ndarray) -> CcaResult:
     cyy = yc @ yc.T / (n - 1)
     cxy = xc @ yc.T / (n - 1)
     del yc  # only xc is needed below
+    wx, wy, correlations = cca_from_moments(cxx, cyy, cxy)
+    return CcaResult(wx=wx, wy=wy, correlations=correlations,
+                     sources=wx @ xc)
 
+
+def cca_from_moments(cxx: np.ndarray, cyy: np.ndarray,
+                     cxy: np.ndarray) -> tuple:
+    """``(wx, wy, correlations)`` from the covariances of x (channels x
+    channels), of y, and of x with y: row i of ``wx`` and of ``wy`` projects
+    the centred views onto the i-th most correlated pair."""
+    n_pairs = min(len(cxx), len(cyy))
     white_x = _inv_sqrt(cxx, "x")
     white_y = _inv_sqrt(cyy, "y")
     u, s, vt = np.linalg.svd(white_x @ cxy @ white_y.T)
     wx = (u.T @ white_x)[:n_pairs]
     wy = (vt @ white_y)[:n_pairs]
-    correlations = np.clip(s[:n_pairs], 0.0, 1.0)
-    return CcaResult(wx=wx, wy=wy, correlations=correlations,
-                     sources=wx @ xc)
+    return wx, wy, np.clip(s[:n_pairs], 0.0, 1.0)

@@ -24,7 +24,10 @@ model's. A caller that reads the whole spectrum, as a sum over all singular
 values does, passes nothing. Component i, the diagonal average of
 u_i u_i^T X, is built only on request, as a convolution of u_i with the
 sliding dot product u_i^T X; the eigenvectors are orthonormal, so all
-components sum to the signal.
+components sum to the signal. Samples start:stop of a component depend only
+on the dot products start - L + 1 to stop - 1, each the same L-term sum as
+over the whole signal, so a range is bit for bit that slice of the whole
+component, and a long signal's components can be built a chunk at a time.
 """
 
 from dataclasses import dataclass
@@ -61,12 +64,29 @@ class SsaModel:
     def n_components(self) -> int:
         return len(self.singular_values)
 
-    def component(self, i: int) -> np.ndarray:
-        """Elementary component i: the diagonal average of u_i u_i^T X."""
+    def component(self, i: int, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
+        """Samples ``start:stop`` of elementary component i, the diagonal
+        average of u_i u_i^T X: bit for bit that slice of the whole one."""
+        n, length = self.n_samples, self.window_len
+        stop = n if stop is None else stop
+        if not 0 <= start <= stop <= n:
+            raise ValueError(f"sample range {start}:{stop} is not in 0:{n}")
         u = self.eigenvectors[:, i]
-        ramp = np.arange(1, self.n_samples + 1)
-        counts = np.minimum(np.minimum(ramp, ramp[::-1]), self.window_len)
-        return np.convolve(u, np.correlate(self.samples, u, "valid")) / counts
+        # the sliding dot products u^T X[:, j] that reach samples start:stop
+        lo, hi = max(0, start - length + 1), min(n - length + 1, stop)
+        if hi - lo <= length:
+            # np.convolve puts the longer operand first; over the whole
+            # signal the K = N - L + 1 > L dot products are the longer one
+            hi = min(n - length + 1, lo + length + 1)
+            lo = hi - length - 1
+        dots = np.correlate(self.samples[lo:hi + length - 1], u, "valid")
+        if length - 1 <= start and stop <= n - length + 1:
+            counts = length  # each sample lies on L columns of X
+        else:
+            t = np.arange(start, stop)
+            counts = np.minimum(np.minimum(t + 1, n - t), length)
+        return np.convolve(u, dots)[start - lo:stop - lo] / counts
 
 
 def default_window(n_samples: int) -> int:

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .core import _BLOCK_BYTES, NormStats
-from .errors import DataFormatError, DivergenceError, StratificationError
+from .errors import (DataFormatError, DivergenceError, NumericDegeneracyError,
+                     StratificationError)
 from .features import FeatureMatrix
 from .rng import rng_stream
 
@@ -83,7 +84,9 @@ class _Classifier:
 
     def _inputs(self, rows, idx=None) -> np.ndarray:
         """``rows`` (``rows[idx]`` given ``idx``) copied into the buffer the
-        model reads, at most ``_BLOCK_BYTES`` at a time, and scaled there."""
+        model reads, at most ``_BLOCK_BYTES`` at a time, and scaled there. A
+        scaled value that is not finite is a ``NumericDegeneracyError``
+        naming its feature column."""
         rows = _checked_rows(rows, self.norm)
         n = len(rows) if idx is None else len(idx)
         inputs, cols = self._buffer(n, rows.shape[1])
@@ -91,8 +94,17 @@ class _Classifier:
         for start in range(0, n, step):
             part = slice(start, start + step)
             cols[part] = rows[part] if idx is None else rows[idx[part]]
-        if self.norm is not None:  # scaled inside the one copy
-            self.norm.apply_in_place(cols)
+            if self.norm is None:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.norm.apply_in_place(cols[part])  # inside the one copy
+            bad = np.flatnonzero(~np.isfinite(cols[part]).all(axis=0))
+            if len(bad):
+                j = bad[0]
+                raise NumericDegeneracyError(
+                    f"feature column {j} scales to a value that is not "
+                    f"finite, with the model's mean {self.norm.loc[j]:g} and "
+                    f"sigma {self.norm.scale[j]:g}")
         return inputs
 
 

@@ -754,6 +754,35 @@ class TestImpossibleModelValues:
         assert not (tmp_path / "preds.csv").exists()
 
 
+class TestTinyNormScale:
+    # a positive sigma that load_model accepts, but that no feature value
+    # divides into a finite input
+    @pytest.mark.parametrize("kind", ["gru", "linear"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_exit_2_naming_the_column(self, tmp_path, labeled_csv, capsys,
+                                      kind, command):
+        model = tmp_path / "model.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), "--model-kind", kind, "--epochs", "1",
+                   "--hidden", "4") == 0
+        loaded = load_model(model)
+        scale = loaded.norm.scale.copy()
+        scale[3] = 1e-310
+        save_model(replace(loaded, norm=NormStats(loc=loaded.norm.loc,
+                                                  scale=scale)), model)
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "preds.csv")] * (command == "predict")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, "--features", str(labeled_csv), "--model",
+                       str(model), *out) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: feature column 3 ")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "preds.csv").exists()
+
+
 class TestModelTableMismatch:
     @pytest.mark.parametrize("kind", ["gru", "linear"])
     @pytest.mark.parametrize("command", ["eval", "predict"])

@@ -226,6 +226,44 @@ def test_leading_model_is_the_full_model_cut(kind, n, window_frac, leading,
         assert cut.component(i).tobytes() == full.component(i).tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["noise", "sine", "zero", "constant", "offset"]),
+    n=st.integers(4, 600),
+    window_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(kind="noise", n=1000, window_frac=1.0, seed=0, data=None)
+def test_component_range_is_the_whole_components_slice(kind, n, window_frac,
+                                                       seed, data):
+    x = leading_case(kind, n, 1.0, seed)
+    length = 2 + round(window_frac * (n // 2 - 2))
+    model = ssa_decompose(x, length)
+    k = n - length + 1
+    # both signal ends, both window ends, and a range anywhere
+    edges = sorted({0, 1, length - 1, length, k - 1, k, n - 1, n})
+    ranges = [(0, n), (0, 1), (n - 1, n), (n, n), (0, length),
+              (length - 1, k), (k - 1, n), (1, n - 1)]
+    if data is not None:
+        start = data.draw(st.sampled_from(edges) | st.integers(0, n))
+        stop = data.draw(st.sampled_from([e for e in edges if e >= start])
+                         | st.integers(start, n))
+        ranges.append((start, stop))
+    for i in range(model.n_components):
+        whole = model.component(i)
+        for start, stop in ranges:
+            part = model.component(i, start, stop)
+            assert part.tobytes() == whole[start:stop].tobytes()
+
+
+@pytest.mark.parametrize("start,stop", [(-1, 4), (5, 4), (0, 65)])
+def test_component_range_outside_the_signal_refused(start, stop):
+    model = ssa_decompose(sine(5.0, n=64))
+    with pytest.raises(ValueError, match="is not in 0:64"):
+        model.component(0, start, stop)
+
+
 def test_leading_skips_the_tail_re_measure(monkeypatch):
     t = np.arange(2048)
     x = np.sin(0.3 * t) + 0.5 * np.cos(0.71 * t)
@@ -286,3 +324,12 @@ def test_ten_minute_ssa_cca_stays_small():
     # components or sources is about 19 MiB
     rise = peak_rise_mib(_SSA_CCA_SETUP, "remove_muscle_ssa_cca(rec)")
     assert rise < 100.0
+
+
+def test_sixty_minute_ssa_cca_rises_by_four_inputs_at_most():
+    # an hour of 4 channels at 256 Hz: 28.1 MiB of input samples
+    setup = _SSA_CCA_SETUP.replace("recording(153_600, 1)",
+                                   "recording(921_600, 1)")
+    input_mib = 4 * 921_600 * 8 / 2**20
+    rise = peak_rise_mib(setup, "remove_muscle_ssa_cca(rec)")
+    assert rise <= 4 * input_mib + 32.0
