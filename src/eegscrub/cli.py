@@ -30,7 +30,8 @@ from .dataset import (
     write_report,
 )
 from .denoise import METHOD_IDS, METHODS, apply_method
-from .errors import EegScrubError, InvalidSpecError, TooShortError
+from .errors import (DataFormatError, EegScrubError, InvalidSpecError,
+                     TooShortError)
 from .features import build_feature_matrix
 from .gru import (
     ModelConfig,
@@ -120,15 +121,16 @@ def build_parser() -> _Parser:
             "apply one artifact-removal method")
     p.add_argument("--method", required=True, choices=sorted(METHOD_IDS))
     p.add_argument("--fs", type=float, default=256.0)
-    # every method's tunable keywords, each registered once as a flag
+    # every method's tunable keywords and input flags, each registered once;
+    # an unset one stays out of the namespace (see _method_flags)
     for param in (p for spec in METHODS.values() for p in spec.params):
         p.add_argument("--" + param.name.replace("_", "-"), type=param.type,
-                       default=param.default, choices=param.choices)
-    p.add_argument("--ref-noise", action="append", default=None,
+                       default=argparse.SUPPRESS, choices=param.choices)
+    p.add_argument("--ref-noise", action="append", default=argparse.SUPPRESS,
                    help="reference noise spec for cascade_lms (repeatable)")
-    p.add_argument("--template-width", type=float, default=0.3,
-                   help="blink template width in seconds")
-    p.add_argument("--frontal", default=None,
+    p.add_argument("--template-width", type=float, default=argparse.SUPPRESS,
+                   help="blink template width in seconds (default 0.3)")
+    p.add_argument("--frontal", default=argparse.SUPPRESS,
                    help="comma-separated frontal channel names for "
                         "blink_template (default: first two channels)")
 
@@ -204,36 +206,60 @@ def _cmd_simulate(args, seed: int) -> tuple:
     return config, {"n_samples": n, "mixes": mix_info}
 
 
-def _method_inputs(args, rec: Recording, seed: int) -> tuple:
-    """The references or the template a method needs, built from the flags,
-    and the flags read for them."""
-    needs = METHODS[args.method].needs
+# the flags of the inputs a method needs besides the signal, by
+# MethodSpec.needs, with their defaults
+_INPUT_FLAGS = {"references": {"ref_noise": None},
+                "template": {"template_width": 0.3, "frontal": None}}
+
+
+def _method_flags(args) -> dict:
+    """The chosen method's keywords and input flags, each unset one at its
+    default; a flag that only other methods read is a usage error."""
+    spec = METHODS[args.method]
+    own = {p.name: p.default for p in spec.params}
+    own.update(_INPUT_FLAGS.get(spec.needs, {}))
+    every = [p.name for other in METHODS.values() for p in other.params]
+    every += [dest for flags in _INPUT_FLAGS.values() for dest in flags]
+    given = vars(args)
+    for dest in every:
+        if dest in given and dest not in own:
+            raise UsageError(f"--{dest.replace('_', '-')} does not apply to "
+                             f"--method {args.method}")
+    return {dest: given.get(dest, default) for dest, default in own.items()}
+
+
+def _method_inputs(needs: str | None, flags: dict, rec: Recording,
+                   seed: int) -> tuple:
+    """The references or the template a method needs, built from its
+    flags."""
     if needs == "references":
         specs = [NoiseSpec.from_text(s) for s in
-                 (args.ref_noise or ["kind=powerline"])]
-        refs = [gen_noise(replace(s, seed=s.seed + seed), rec.n_samples,
-                          rec.fs) for s in specs]
-        return (refs,), {"ref_noise": args.ref_noise}
+                 (flags["ref_noise"] or ["kind=powerline"])]
+        return ([gen_noise(replace(s, seed=s.seed + seed), rec.n_samples,
+                           rec.fs) for s in specs],)
     if needs == "template":
-        frontal = (args.frontal.split(",") if args.frontal
+        frontal = (flags["frontal"].split(",") if flags["frontal"]
                    else list(rec.channel_names[:2]))
         if not set(frontal) <= set(rec.channel_names):
             raise UsageError(f"--frontal must name channels of the recording "
-                             f"({', '.join(rec.channel_names)}), got {args.frontal!r}")
-        spec = NoiseSpec("blink", {"width": args.template_width}, seed=seed)
-        read = {"template_width": args.template_width, "frontal": args.frontal}
-        return (make_blink_template(spec, rec.fs), frontal), read
-    return (), {}
+                             f"({', '.join(rec.channel_names)}), got "
+                             f"{flags['frontal']!r}")
+        spec = NoiseSpec("blink", {"width": flags["template_width"]},
+                         seed=seed)
+        return make_blink_template(spec, rec.fs), frontal
+    return ()
 
 
 def _cmd_denoise(args, seed: int) -> tuple:
+    spec = METHODS[args.method]
+    flags = _method_flags(args)
     rec = load_raw_csv(args.input, fs=args.fs)
-    params = {p.name: getattr(args, p.name)
-              for p in METHODS[args.method].params}
-    inputs, read = _method_inputs(args, rec, seed)  # only the flags it read
-    out, reps = apply_method(args.method, rec, *inputs, **params)
+    inputs = _method_inputs(spec.needs, flags, rec, seed)
+    out, reps = apply_method(args.method, rec, *inputs,
+                             **{p.name: flags[p.name] for p in spec.params})
     save_raw_csv(out, args.out)
-    config = {"method": args.method, "fs": args.fs, **params, **read}
+    # the report names only the flags this method read
+    config = {"method": args.method, "fs": args.fs, **flags}
     return config, {"reports": [asdict(r) for r in reps]}
 
 
@@ -302,9 +328,21 @@ def _cmd_train(args, seed: int) -> tuple:
     return config, {"final": history[-1], "n_rows": dataset.features.n_rows}
 
 
+def _load_classifier(path: str):
+    """The model at ``path``, refused unless it has one output per class of
+    ``CLASS_NAMES``, the names ``eval`` and ``predict`` print and write."""
+    model = load_model(path)
+    if model.n_classes != len(CLASS_NAMES):
+        raise DataFormatError(
+            f"{path}: the model has {model.n_classes} classes, but its "
+            f"outputs are read as the {len(CLASS_NAMES)} classes "
+            f"{', '.join(CLASS_NAMES)}")
+    return model
+
+
 def _cmd_eval(args, seed: int) -> tuple:
     dataset = load_feature_csv(args.features)
-    model = load_model(args.model)
+    model = _load_classifier(args.model)
     result = evaluate(model, dataset.features)
     print(f"accuracy {result['accuracy']:.4f}")
     for i, name in enumerate(CLASS_NAMES):
@@ -317,7 +355,7 @@ def _cmd_eval(args, seed: int) -> tuple:
 
 def _cmd_predict(args, seed: int) -> tuple:
     matrix = load_feature_csv(args.features, require_label=False)
-    model = load_model(args.model)
+    model = _load_classifier(args.model)
     probs = model.predict_proba(matrix.rows)
     predicted = probs.argmax(axis=1)
     write_csv(args.out,

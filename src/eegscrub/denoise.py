@@ -15,6 +15,7 @@ it needs reference signals or a blink template. The bench, the CLI's
 
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,7 +24,7 @@ from .core import _BLOCK_BYTES, Recording, Signal, moving_average, odd_width
 # benchmarks/layers.py traces ``denoise.cca`` by name
 from .decompose import cca  # noqa: F401
 from .decompose import (cca_from_moments, dwt_forward, dwt_inverse, emd,
-                        ssa_decompose)
+                        merge_moments, moments, ssa_decompose)
 from .errors import DivergenceError, NumericDegeneracyError, TooShortError
 
 @dataclass(frozen=True)
@@ -153,30 +154,9 @@ def remove_motion_ssa(
     return signal.with_samples(cleaned), report
 
 
-def _moments(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Count, mean and centred Gram of the rows [x_t, y_t] of x and y,
-    samples x k each. Each block of the Gram is one product, as ``cca``
-    forms its covariances, so C-ordered x and y give ``cca``'s bits."""
-    mean_x, mean_y = x.mean(axis=0), y.mean(axis=0)
-    xc, yc = (x - mean_x).T, (y - mean_y).T
-    cxy = xc @ yc.T
-    return (len(x), np.concatenate([mean_x, mean_y]),
-            np.block([[xc @ xc.T, cxy], [cxy.T, yc @ yc.T]]))
-
-
-def _merged(a: tuple, b: tuple) -> tuple:
-    """Count, mean and centred Gram of two sets of rows from those of each
-    (Chan, Golub & LeVeque, Am. Stat. 37(3), 1983)."""
-    (na, mean_a, gram_a), (nb, mean_b, gram_b) = a, b
-    n = na + nb
-    delta = mean_b - mean_a
-    return (n, mean_a + delta * (nb / n),
-            gram_a + gram_b + delta[:, None] * delta[None] * (na * nb / n))
-
-
 def _lag_moments(rows: np.ndarray) -> tuple:
     """Count, means (2 x k) and centred Grams (2 x 2 x k) of each row of
-    ``rows`` at t >= 1 and one sample earlier, for :func:`_merged`."""
+    ``rows`` at t >= 1 and one sample earlier, for ``merge_moments``."""
     now, before = rows[:, 1:], rows[:, :-1]
     mean = np.stack([now.mean(axis=1), before.mean(axis=1)])
     now, before = now - mean[0][:, None], before - mean[1][:, None]
@@ -207,14 +187,15 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
     CCA pairs each component with itself one sample earlier (sample 0 with
     itself). Memory: the k components are built in chunks of
     ``_BLOCK_BYTES // (8 * 2k)`` samples (4,096 for 4 channels), never
-    whole. Pass 1 merges each chunk's mean and centred Gram into CCA's
-    covariances. Pass 2 builds the chunks again, last first (the last one
-    is kept from pass 1, so a one-chunk input builds its components once),
-    writes the kept sources back onto their channels, and merges the
-    sources' own lag-1 moments, which decide what is kept; where they undo
-    the guess pass 2 wrote, a third pass writes the output again. An input
-    of one chunk is summed in the order ``cca`` sums whole arrays, so its
-    output is bit for bit that of the code that held the components whole.
+    whole. Pass 1 merges each chunk's ``moments`` into CCA's covariances.
+    Pass 2 goes over the chunks again, last first, writes the kept sources
+    back onto their channels, and merges the sources' own lag-1 moments,
+    which decide what is kept; where they undo the guess pass 2 wrote, a
+    third pass writes the output again. The last chunk built is kept, and
+    each pass starts on the chunk the one before ended on, so a one-chunk
+    input builds its components once. An input of one chunk is one
+    ``moments`` call, as in ``cca``, so its output is bit for bit that of
+    the code that held the components whole.
     Measured in a fresh process, peak RSS rises by 4.5 MiB on a 10-minute
     4-channel recording and by 22.6 MiB on a 60-minute one, output included.
     """
@@ -242,6 +223,7 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
     step = max(2, _BLOCK_BYTES // (8 * 2 * k))
     starts = range(0, n, step)
 
+    @lru_cache(maxsize=1)
     def chunk(start):
         """The components, C-ordered samples x k, from the sample before
         ``start`` (from ``start`` if it is 0) to the chunk's end."""
@@ -260,9 +242,9 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
         before = np.concatenate([comps[:1], comps[:-1]]) if start == 0 \
             else comps[:-1]
         sums += [column.sum() for column in now.T]
-        here = _moments(now, before)
-        moments = here if start == 0 else _merged(moments, here)
-    count, mean, gram = moments
+        here = moments(now, before)
+        summed = here if start == 0 else merge_moments(summed, here)
+    count, mean, gram = summed
     wx, _, correlations = cca_from_moments(gram[:k, :k] / (count - 1),
                                            gram[k:, k:] / (count - 1),
                                            gram[:k, k:] / (count - 1))
@@ -296,18 +278,14 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
     forms[0, 0][forms[0, 0] <= 1e-12 * rounding] = 0.0
     kept = [i for i, rho in enumerate(_lag1(forms)) if rho >= autocorr_thresh]
     for start in reversed(starts):  # pass 2
-        if start != starts[-1]:
-            comps = chunk(start)
-        here = _lag_moments(write(start, comps, kept))
-        exact = here if start == starts[-1] else _merged(exact, here)
+        here = _lag_moments(write(start, chunk(start), kept))
+        exact = here if start == starts[-1] else merge_moments(exact, here)
     autocorrs = _lag1(exact[2])
     zeroed = [i for i, rho in enumerate(autocorrs) if rho < autocorr_thresh]
     decided = [i for i, rho in enumerate(autocorrs) if rho >= autocorr_thresh]
     if decided != kept:
-        for start in starts:  # pass 3, from the chunk pass 2 ended on
-            if start:
-                comps = chunk(start)
-            write(start, comps, decided)
+        for start in starts:  # pass 3
+            write(start, chunk(start), decided)
     # each row is freed once its signal holds a copy
     out_channels = [ch.with_samples(out.pop(0)) for ch in rec.channels]
     report = DenoiseReport(

@@ -223,14 +223,6 @@ def _sequence_buffer(n_rows: int, n_features: int,
             padded[:, :n_features])
 
 
-def reshape_to_sequences(rows: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """(B, n_features) -> (B, T, F), zero-padding the tail."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    seqs, cols = _sequence_buffer(*rows.shape, config)
-    cols[...] = rows
-    return seqs
-
-
 def _gru_shapes(config: ModelConfig) -> dict:
     """Each GRU array's name and shape, in file order."""
     h, c = config.hidden_size, config.n_classes
@@ -508,11 +500,16 @@ def train_linear_baseline(dataset: FeatureMatrix, tc: TrainConfig,
 
 def evaluate(model, dataset: FeatureMatrix) -> dict:
     """Accuracy, per-class precision/recall/F1, and the confusion counts:
-    ``confusion[i, j]`` rows of true class i predicted as class j."""
+    ``confusion[i, j]`` rows of true class i predicted as class j. A label
+    outside the model's classes is a ``DataFormatError``."""
     rows, y = _dataset_arrays(dataset)
     probs = model.predict_proba(rows)  # refuses a table without rows
     predicted = probs.argmax(axis=1)
     c = probs.shape[1]
+    outside = y[(y < 0) | (y >= c)]
+    if len(outside):
+        raise DataFormatError(
+            f"label {outside[0]} is outside the model's classes [0, {c})")
     counts = np.zeros((c, c), dtype=int)
     np.add.at(counts, (y, predicted), 1)
     col, row, diag = counts.sum(axis=0), counts.sum(axis=1), counts.diagonal()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from eegscrub import (
+    CLASS_NAMES,
     FeatureMatrix,
     load_feature_csv,
     load_raw_csv,
@@ -21,7 +22,8 @@ from eegscrub.cli import build_parser, main
 from eegscrub.denoise import METHOD_IDS, METHODS
 from eegscrub.core import NormStats
 from eegscrub.errors import DataFormatError
-from eegscrub.gru import MODEL_MAGIC, TrainConfig, load_model, save_model
+from eegscrub.gru import (MODEL_MAGIC, LinearModel, ModelConfig, TrainConfig,
+                          init_gru, load_model, save_model)
 
 
 def run(*argv):
@@ -675,6 +677,87 @@ class TestDenoiseEveryMethod:
                 | {p.name for p in METHODS[method].params}
                 | extra.get(METHODS[method].needs, set()))
         assert set(report["config"]) == want
+
+
+# a value for each method's flag, by dest, as the report prints it; the
+# flags of a method's inputs besides the signal, by MethodSpec.needs
+FLAG_VALUES = {"levels": "9", "mode": "hard", "ma_width": "7",
+               "window_len": "32", "var_thresh": "0.2",
+               "autocorr_thresh": "0.5", "q": "0.0001", "r0": "2.0",
+               "adapt_window": "32", "mu": "0.01", "taps": "8",
+               "peak_thresh": "0.5", "ref_noise": "kind=powerline",
+               "template_width": "0.2", "frontal": "ch0,ch1"}
+INPUT_FLAGS = {"references": {"ref_noise"},
+               "template": {"template_width", "frontal"}}
+
+
+def own_flags(method: str) -> set:
+    spec = METHODS[method]
+    return ({p.name for p in spec.params}
+            | INPUT_FLAGS.get(spec.needs, set()))
+
+
+class TestForeignFlags:
+    def test_every_flag_has_a_value(self):
+        assert set(FLAG_VALUES) == set().union(*map(own_flags, METHOD_IDS))
+
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_usage_error_naming_flag_and_method(self, raw_csv, tmp_path,
+                                                capsys, method):
+        out = tmp_path / "clean.csv"
+        foreign = sorted(set(FLAG_VALUES) - own_flags(method))
+        assert foreign
+        for dest in foreign:
+            flag = "--" + dest.replace("_", "-")
+            assert run("denoise", "--in", str(raw_csv), "--method", method,
+                       "--out", str(out), flag, FLAG_VALUES[dest]) == 1, flag
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: {flag} does not apply to --method {method}\n"), err
+            assert not out.exists()
+            assert not Path(str(out) + ".report.json").exists()
+
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_own_flags_run_and_are_reported(self, raw_csv, tmp_path, method):
+        out = tmp_path / "clean.csv"
+        argv = [arg for dest in sorted(own_flags(method))
+                for arg in ("--" + dest.replace("_", "-"), FLAG_VALUES[dest])]
+        assert run("denoise", "--in", str(raw_csv), "--method", method,
+                   "--out", str(out), *argv) == 0
+        config = read_report(str(out) + ".report.json")["config"]
+        reported = {dest: config[dest] for dest in own_flags(method)}
+        if "ref_noise" in reported:  # the list of repeated flags
+            (reported["ref_noise"],) = reported["ref_noise"]
+        assert {dest: str(value) for dest, value in reported.items()} == {
+            dest: FLAG_VALUES[dest] for dest in own_flags(method)}
+
+
+class TestClassCount:
+    # eval and predict name a model's outputs by CLASS_NAMES
+    @pytest.mark.parametrize("kind", ["gru", "linear"])
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_refused_before_any_output(self, tmp_path, labeled_csv, capsys,
+                                       kind, n_classes, command):
+        model = tmp_path / "model.bin"
+        if kind == "gru":
+            save_model(init_gru(ModelConfig.for_features(
+                24, n_classes, hidden_size=4, seed=0)), model)
+        else:
+            save_model(LinearModel(n_classes=n_classes,
+                                   w=np.zeros((n_classes, 24)),
+                                   b=np.zeros(n_classes)), model)
+        preds = tmp_path / "preds.csv"
+        out = ["--out", str(preds)] * (command == "predict")
+        assert run(command, "--features", str(labeled_csv), "--model",
+                   str(model), *out) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(
+            f"error: {model}: the model has {n_classes} classes")
+        assert ", ".join(CLASS_NAMES) in captured.err
+        assert set(tmp_path.iterdir()) == {model, labeled_csv}
 
 
 _GRU_CONFIG = {"seq_len": 16, "feat_dim": 2, "hidden_size": 4,

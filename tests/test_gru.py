@@ -19,14 +19,14 @@ from eegscrub.gru import (
     init_gru,
     load_model,
     loss_and_grad,
-    reshape_to_sequences,
     save_model,
     stratified_split,
     train,
     train_linear_baseline,
 )
 from eegscrub.core import normalize
-from eegscrub.gru import _cross_entropy, _forward_batch, _sigmoid, _softmax
+from eegscrub.gru import (_cross_entropy, _forward_batch, _sequence_buffer,
+                          _sigmoid, _softmax)
 from peak_rss import peak_rise_mib
 
 
@@ -162,7 +162,10 @@ def test_predict_proba_is_forward_of_normalized_rows(kind):
     if kind == "gru":
         mc = ModelConfig.for_features(12, 3, hidden_size=8, seed=2)
         model = replace(init_gru(mc), norm=norm)
-        want = _forward_batch(model, reshape_to_sequences(x, mc))[1]
+        width = mc.seq_len * mc.feat_dim
+        padded = np.pad(x, ((0, 0), (0, width - x.shape[1])))
+        want = _forward_batch(
+            model, padded.reshape(len(x), mc.seq_len, mc.feat_dim))[1]
     else:
         rng = rng_stream(2, "linear-input-rule")
         model = LinearModel(n_classes=3, w=rng.normal(size=(3, 12)),
@@ -371,7 +374,8 @@ class TestReshape:
     def test_zero_padding(self):
         rows = np.arange(1.0, 11.0).reshape(1, 10)
         mc = ModelConfig(seq_len=4, feat_dim=3, hidden_size=2, n_classes=2)
-        seqs = reshape_to_sequences(rows, mc)
+        seqs, cols = _sequence_buffer(*rows.shape, mc)
+        cols[...] = rows
         assert seqs.shape == (1, 4, 3)
         assert seqs[0, 0, 0] == 1.0
         assert seqs[0, 3, 0] == 10.0
@@ -612,6 +616,12 @@ class TestEvaluate:
         assert result["recall"][0] == 1.0
         assert result["precision"][1] == 0.0
         assert result["flags"]["precision"][1] is True
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_classes_refused(self, label):
+        with pytest.raises(DataFormatError, match=f"label {label} is outside "
+                                                  r"the model's classes \[0, 3\)"):
+            self.eval_with_fixed_predictions([0, label, 2], [0, 1, 2])
 
     def test_relabel_invariance(self):
         base = self.eval_with_fixed_predictions([0, 0, 1, 2], [0, 1, 1, 2])

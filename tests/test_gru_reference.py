@@ -51,11 +51,18 @@ def reference_forward_batch(model, seqs, keep=False):
     return hs, probs, gates
 
 
+def padded_sequences(x, config):
+    """Rows as (B, T, F) sequences, the tail past the features zero."""
+    width = config.seq_len * config.feat_dim
+    return np.pad(x, ((0, 0), (0, width - x.shape[1]))).reshape(
+        len(x), config.seq_len, config.feat_dim)
+
+
 def reference_inputs(model, x):
     """A split's scaled model input as it was made: from a copy of its rows."""
     if isinstance(model, LinearModel):
         return model.norm.apply_in_place(x.copy())
-    seqs = gru.reshape_to_sequences(x, model.config)
+    seqs = padded_sequences(x, model.config)
     model.norm.apply_in_place(seqs.reshape(len(x), -1)[:, : x.shape[1]])
     return seqs
 
@@ -121,7 +128,7 @@ def test_forward_matches_reference(b, hidden, n_features):
     rng = rng_stream(hidden, "gru-reference-weights")
     model = replace(model, **{n: 3.0 * rng.normal(size=getattr(model, n).shape)
                               for n in gru.GATE_PARAM_NAMES})
-    seqs = gru.reshape_to_sequences(
+    seqs = padded_sequences(
         rng_stream(b, "gru-reference-rows").normal(0.0, 2.0, (b, n_features)),
         mc)
     for keep in (False, True):
