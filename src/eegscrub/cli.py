@@ -46,7 +46,12 @@ from .noise import NoiseSpec, gen_noise, mix_at_snr
 
 
 class UsageError(Exception):
-    pass
+    """A bad command line; ``parser``, when given, is the parser that found
+    it, whose usage line the error prints."""
+
+    def __init__(self, message, parser=None):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(message, self)
 
 
 def _resolve_seed(value) -> int:
@@ -84,6 +89,9 @@ _FILE_FLAGS = {"input": ("in", None), "out": ("out", None),
                "features": ("features", None), "model": ("model", None),
                "history": ("history", "per-epoch CSV path")}
 
+# the train flags only the GRU reads, by dest: (type, default)
+_GRU_FLAGS = {"hidden": (int, 64), "grad_clip": (float, 5.0)}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="eegscrub",
@@ -101,7 +109,7 @@ def build_parser() -> _Parser:
     def add(name, command: _Command, text: str, **file_help) -> _Parser:
         """Register a subcommand, its _Command and one flag per file."""
         p = subparsers.add_parser(name, parents=[common], help=text)
-        p.set_defaults(run=command)
+        p.set_defaults(run=command, parser=p)
         for dest in command.reads + command.writes:
             flag, flag_help = _FILE_FLAGS[dest]
             p.add_argument("--" + flag, dest=dest, required=dest != "history",
@@ -162,9 +170,11 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--val-fraction", type=float, default=0.15)
-    p.add_argument("--grad-clip", type=float, default=5.0)
+    # the GRU's own flags; an unset one stays out of the namespace
+    for dest, (kind, default) in _GRU_FLAGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=kind,
+                       default=argparse.SUPPRESS, help=f"default {default}")
 
     add("eval", _Command(_cmd_eval, ("features", "model"), (),
                          "{model}.eval-report.json"),
@@ -302,16 +312,30 @@ def _cmd_extract(args, seed: int) -> tuple:
     return config, {"n_rows": matrix.n_rows, "n_features": matrix.n_features}
 
 
+def _gru_flags(args) -> dict:
+    """The GRU-only flags, each unset one at its default; for another model
+    kind, a given one is a usage error."""
+    given = vars(args)
+    for dest in _GRU_FLAGS:
+        if dest in given and args.model_kind != "gru":
+            raise UsageError(f"--{dest.replace('_', '-')} does not apply to "
+                             f"--model-kind {args.model_kind}")
+    return {dest: given.get(dest, default)
+            for dest, (_, default) in _GRU_FLAGS.items()}
+
+
 def _cmd_train(args, seed: int) -> tuple:
+    flags = _gru_flags(args)
     dataset = load_feature_csv(args.features)
     tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                     learning_rate=args.lr, grad_clip=args.grad_clip,
+                     learning_rate=args.lr, grad_clip=flags["grad_clip"],
                      val_fraction=args.val_fraction, seed=seed)
     train_config = asdict(tc)
     if args.model_kind == "gru":
         mc = ModelConfig.for_features(dataset.features.n_features,
                                       len(CLASS_NAMES),
-                                      hidden_size=args.hidden, seed=seed)
+                                      hidden_size=flags["hidden"],
+                                      seed=seed)
         model, history = train(dataset.features, mc, tc)
         model_config = asdict(mc)
     else:
@@ -392,8 +416,11 @@ def _check_paths(args, command: _Command, report_path: str) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # parse_args' error, but with the subcommand's usage
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
         if args.command is None:
             raise UsageError("a subcommand is required")
         for k, v in vars(args).items():  # every float flag
@@ -412,7 +439,8 @@ def main(argv=None) -> int:
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        # the subcommand's usage once one is known, else the root's
+        (exc.parser or getattr(args, "parser", parser)).print_usage(sys.stderr)
         return 1
     except (EegScrubError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

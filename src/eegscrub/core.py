@@ -224,10 +224,12 @@ class NormStats:
         object.__setattr__(self, "loc", _freeze(self.loc))
         object.__setattr__(self, "scale", _freeze(self.scale))
 
-    def apply_in_place(self, cols: np.ndarray) -> np.ndarray:
-        """Scale ``cols`` column-wise in place, (cols - loc) / scale."""
-        cols -= self.loc
-        cols /= self.scale
+    def apply_in_place(self, cols: np.ndarray, start: int = 0) -> np.ndarray:
+        """Scale ``cols`` column-wise in place, (cols - loc) / scale; its
+        columns are the fitted columns ``start`` onward."""
+        stop = start + cols.shape[-1]
+        cols -= self.loc[start:stop]
+        cols /= self.scale[start:stop]
         return cols
 
     @classmethod

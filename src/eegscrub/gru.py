@@ -5,6 +5,10 @@ convention is pinned to h' = (1-z)*h + z*h_cand so the zero-weight network
 produces exactly-zero hidden states. Flat feature vectors are reshaped into
 16-step sequences, zero-padded on the right.
 
+The model holds one scaled copy of rows, of its training split, which every
+batch reads. Validation and ``predict_proba`` (so ``evaluate``) read the
+caller's table one sequence step at a time, through one (rows x F) buffer.
+
 No learning framework is used anywhere; every gradient is derived by hand and
 checked against finite differences in the test suite.
 """
@@ -80,7 +84,16 @@ class _Classifier:
     """Rows in, class probabilities out: the part both models share."""
 
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        return self._probs(self._inputs(rows))
+        """Class probabilities of each row. The GRU reads ``rows`` one step
+        at a time and makes no scaled copy of them: the one scaled copy a
+        model holds is of its training split, while it trains. The linear
+        model scales one copy of ``rows``."""
+        return self._probs(self._reader(rows))
+
+    def _reader(self, rows, idx=None):
+        """What ``_probs`` reads for ``rows`` (``rows[idx]`` given ``idx``);
+        unless a model reads them another way, its ``_inputs`` copy."""
+        return self._inputs(rows, idx)
 
     def _inputs(self, rows, idx=None) -> np.ndarray:
         """``rows`` (``rows[idx]`` given ``idx``) copied into the buffer the
@@ -94,17 +107,8 @@ class _Classifier:
         for start in range(0, n, step):
             part = slice(start, start + step)
             cols[part] = rows[part] if idx is None else rows[idx[part]]
-            if self.norm is None:
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.norm.apply_in_place(cols[part])  # inside the one copy
-            bad = np.flatnonzero(~np.isfinite(cols[part]).all(axis=0))
-            if len(bad):
-                j = bad[0]
-                raise NumericDegeneracyError(
-                    f"feature column {j} scales to a value that is not "
-                    f"finite, with the model's mean {self.norm.loc[j]:g} and "
-                    f"sigma {self.norm.scale[j]:g}")
+            if self.norm is not None:  # inside the one copy
+                _scale_checked(cols[part], self.norm)
         return inputs
 
 
@@ -133,6 +137,10 @@ class GruModel(_Classifier):
 
     def _buffer(self, n_rows: int, n_features: int) -> tuple:
         return _sequence_buffer(n_rows, n_features, self.config)
+
+    def _reader(self, rows, idx=None) -> "_Steps":
+        return _Steps(_checked_rows(rows, self.norm), idx, self.norm,
+                      self.config)
 
     def _probs(self, seqs: np.ndarray) -> np.ndarray:
         return _forward_batch(self, seqs)[1]
@@ -209,18 +217,67 @@ def _checked_rows(rows, norm: NormStats | None) -> np.ndarray:
     return rows
 
 
-def _sequence_buffer(n_rows: int, n_features: int,
-                     config: ModelConfig) -> tuple:
-    """Zeroed (n_rows, T, F) sequences and the view of their flat rows that
-    holds the features; the tail past ``n_features`` stays zero padding."""
+def _scale_checked(cols: np.ndarray, norm: NormStats, start: int = 0):
+    """Scale ``cols``, feature columns ``start`` onward, in place; a value
+    that scales to one that is not finite is a ``NumericDegeneracyError``
+    naming its feature column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm.apply_in_place(cols, start)
+    bad = np.flatnonzero(~np.isfinite(cols).all(axis=0))
+    if len(bad):
+        j = start + bad[0]
+        raise NumericDegeneracyError(
+            f"feature column {j} scales to a value that is not finite, with "
+            f"the model's mean {norm.loc[j]:g} and sigma {norm.scale[j]:g}")
+
+
+def _padded_width(n_features: int, config: ModelConfig) -> int:
+    """T*F, the flat width of a sequence, which ``n_features`` must fit."""
     want = config.seq_len * config.feat_dim
     if n_features > want:
         raise ValueError(
             f"{n_features} features exceed seq_len*feat_dim = {want}"
         )
-    padded = np.zeros((n_rows, want))
+    return want
+
+
+def _sequence_buffer(n_rows: int, n_features: int,
+                     config: ModelConfig) -> tuple:
+    """Zeroed (n_rows, T, F) sequences and the view of their flat rows that
+    holds the features; the tail past ``n_features`` stays zero padding."""
+    padded = np.zeros((n_rows, _padded_width(n_features, config)))
     return (padded.reshape(n_rows, config.seq_len, config.feat_dim),
             padded[:, :n_features])
+
+
+class _Steps:
+    """``rows`` (``rows[idx]`` given ``idx``) as the read-only (n, T, F)
+    sequences of ``_sequence_buffer``, scaled by ``norm``, read one step at
+    a time: ``[:, t, :]`` gathers feature columns t*F to (t+1)*F into one
+    reused (n, F) buffer, scales them there and zeroes the columns past the
+    last feature. So reading a table needs (n, F) floats, not a scaled copy
+    of it; the values are ``_inputs``' bits, and so are its refusals."""
+
+    def __init__(self, rows: np.ndarray, idx, norm: NormStats | None,
+                 config: ModelConfig):
+        _padded_width(rows.shape[1], config)
+        self._rows, self._idx, self._norm = rows, idx, norm
+        n = len(rows) if idx is None else len(idx)
+        self.shape = (n, config.seq_len, config.feat_dim)
+        self._step = np.empty((n, config.feat_dim))
+
+    def __getitem__(self, key) -> np.ndarray:
+        _, t, _ = key  # [:, t, :], all that _forward_batch reads
+        lo = t * self.shape[2]
+        src = self._rows[:, lo : lo + self.shape[2]]  # empty in the padding
+        cols = self._step[:, : src.shape[1]]
+        # on a column slice, np.take(..., out=cols) is far slower than the
+        # (n, F) temporary of fancy indexing
+        cols[...] = src if self._idx is None else src[self._idx]
+        if self._norm is not None:
+            _scale_checked(cols, self._norm, lo)
+        self._step[:, src.shape[1] :] = 0.0
+        return self._step
 
 
 def _gru_shapes(config: ModelConfig) -> dict:
@@ -424,11 +481,13 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, model) -> tuple:
     """The shared Adam loop: split, normalize, shuffle, step, history.
 
     ``model`` is the untrained ``GruModel`` or ``LinearModel``; it gets the
-    training split's normalization. ``model._inputs`` gathers each split's
-    rows into the one buffer the model reads, and scales them there; so
-    each history row equals
-    ``predict_proba`` of that epoch's model over the full split. An epoch
-    whose loss or weights are not finite is a ``DivergenceError``.
+    training split's normalization. The model holds one scaled copy of
+    rows, of its training split, which every batch reads: ``model._inputs``
+    gathers the split into the buffer the model reads and scales it there.
+    The validation split is read as ``predict_proba`` reads a table, through
+    ``model._reader``, so each history row equals ``predict_proba`` of that
+    epoch's model over the full split. An epoch whose loss or weights are
+    not finite is a ``DivergenceError``.
     """
     rows, y = _dataset_arrays(dataset)
     missing = sorted(set(range(model.n_classes)) - set(np.unique(y).tolist()))
@@ -448,7 +507,7 @@ def _fit(dataset: FeatureMatrix, tc: TrainConfig, model) -> tuple:
     cols = inputs.reshape(len(train_idx), -1)[:, : rows.shape[1]]
     model = replace(model, norm=NormStats.of(cols, dataset.feature_names))
     model.norm.apply_in_place(cols)
-    val_inputs = model._inputs(rows, val_idx)
+    val_inputs = model._reader(rows, val_idx)
     y_train, y_val = y[train_idx], y[val_idx]
     adam = _Adam(tc.learning_rate)
     history = []

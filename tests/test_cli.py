@@ -30,6 +30,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def train_one_epoch(features, model, kind: str) -> int:
+    """``train`` for 1 epoch; a GRU gets 4 hidden units."""
+    hidden = ["--hidden", "4"] * (kind == "gru")
+    return run("train", "--features", str(features), "--model", str(model),
+               "--model-kind", kind, "--epochs", "1", *hidden)
+
+
 def subparsers() -> dict:
     (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
     return sub.choices
@@ -732,6 +739,65 @@ class TestForeignFlags:
             dest: FLAG_VALUES[dest] for dest in own_flags(method)}
 
 
+class TestGruOnlyFlags:
+    @pytest.mark.parametrize("flag, value", [("--hidden", "7"),
+                                             ("--grad-clip", "0.5")])
+    def test_usage_error_naming_flag_and_model_kind(self, tmp_path,
+                                                    labeled_csv, capsys,
+                                                    flag, value):
+        model = tmp_path / "linear.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), "--model-kind", "linear", "--epochs", "1",
+                   flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {flag} does not apply to --model-kind linear\n"), err
+        assert set(tmp_path.iterdir()) == {labeled_csv}
+
+    def test_gru_report_names_both_flags(self, tmp_path, labeled_csv):
+        model = tmp_path / "gru.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), "--epochs", "1", "--hidden", "7",
+                   "--grad-clip", "0.5") == 0
+        config = read_report(str(model) + ".report.json")["config"]
+        assert config["model_config"] == asdict(
+            ModelConfig.for_features(24, 3, hidden_size=7, seed=0))
+        assert config["train_config"] == asdict(
+            TrainConfig(epochs=1, grad_clip=0.5, seed=0))
+
+    def test_gru_defaults_unchanged(self, tmp_path, labeled_csv):
+        model = tmp_path / "gru.bin"
+        assert run("train", "--features", str(labeled_csv), "--model",
+                   str(model), "--epochs", "1") == 0
+        config = read_report(str(model) + ".report.json")["config"]
+        assert config["model_config"]["hidden_size"] == 64
+        assert config["train_config"] == asdict(TrainConfig(epochs=1, seed=0))
+
+
+class TestSubcommandUsage:
+    # a usage error prints the usage line of the command it concerns
+    @pytest.mark.parametrize("argv, command", [
+        (["denoise", "--in", "x.csv", "--out", "y.csv", "--method", "akf",
+          "--levels", "9"], "denoise"),
+        (["train", "--features", "x.csv", "--model", "m.bin",
+          "--model-kind", "linear", "--hidden", "7"], "train"),
+        (["simulate", "--duration", "1"], "simulate"),  # no --out
+        (["predict", "--features", "x.csv", "--model", "m.bin", "--out",
+          "p.csv", "--lr", "1"], "predict"),  # another command's flag
+    ])
+    def test_subcommand_usage_line(self, capsys, argv, command):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ")
+        assert err[1].startswith(f"usage: eegscrub {command} [-h]"), err
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"]])
+    def test_root_usage_line_without_a_subcommand(self, capsys, argv):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[1].startswith("usage: eegscrub [-h] [--seed SEED]"), err
+
+
 class TestClassCount:
     # eval and predict name a model's outputs by CLASS_NAMES
     @pytest.mark.parametrize("kind", ["gru", "linear"])
@@ -806,9 +872,7 @@ class TestImpossibleModelValues:
     def test_refused_by_name(self, tmp_path, labeled_csv, capsys, kind,
                              command, name, value):
         model = tmp_path / "model.bin"
-        assert run("train", "--features", str(labeled_csv), "--model",
-                   str(model), "--model-kind", kind, "--epochs", "1",
-                   "--hidden", "4") == 0
+        assert train_one_epoch(labeled_csv, model, kind) == 0
         loaded = load_model(model)
         if name == "weights":  # every weight of the output layer
             name = "w_out" if kind == "gru" else "w"
@@ -845,9 +909,7 @@ class TestTinyNormScale:
     def test_exit_2_naming_the_column(self, tmp_path, labeled_csv, capsys,
                                       kind, command):
         model = tmp_path / "model.bin"
-        assert run("train", "--features", str(labeled_csv), "--model",
-                   str(model), "--model-kind", kind, "--epochs", "1",
-                   "--hidden", "4") == 0
+        assert train_one_epoch(labeled_csv, model, kind) == 0
         loaded = load_model(model)
         scale = loaded.norm.scale.copy()
         scale[3] = 1e-310
@@ -872,9 +934,7 @@ class TestModelTableMismatch:
     def test_feature_count_named(self, tmp_path, labeled_csv, capsys, kind,
                                  command):
         model = tmp_path / "model.bin"
-        assert run("train", "--features", str(labeled_csv), "--model",
-                   str(model), "--model-kind", kind, "--epochs", "1",
-                   "--hidden", "4") == 0
+        assert train_one_epoch(labeled_csv, model, kind) == 0
         full = load_feature_csv(labeled_csv).features
         narrow = tmp_path / "narrow.csv"
         save_feature_csv(FeatureMatrix(rows=full.rows[:, :20],

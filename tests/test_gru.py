@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eegscrub import FeatureMatrix, NormStats, rng_stream
-from eegscrub.errors import DataFormatError, StratificationError
+from eegscrub.errors import (DataFormatError, NumericDegeneracyError,
+                             StratificationError)
 from eegscrub.gru import (
     GATE_PARAM_NAMES,
     MODEL_MAGIC,
@@ -382,6 +383,57 @@ class TestReshape:
         assert seqs[0, 3, 1] == 0.0 and seqs[0, 3, 2] == 0.0  # padded tail
 
 
+@st.composite
+def step_reader_cases(draw):
+    """A GRU of 1-16 steps whose T*F holds 1-50 features with 0-2 spare
+    columns per step (a padded last step, then all-zero steps), 1-40 rows,
+    row indices (none, a permutation or draws with repeats) and a
+    normalization or none."""
+    n, n_features = draw(st.integers(1, 40)), draw(st.integers(1, 50))
+    seq_len = draw(st.integers(1, 16))
+    feat_dim = -(-n_features // seq_len) + draw(st.integers(0, 2))
+    model = tiny_model(t=seq_len, f=feat_dim, h=2)
+    rng = rng_stream(draw(st.integers(0, 2**16)), "gru-step-reader")
+    rows = rng.normal(size=(n, n_features)) * 10.0 ** rng.uniform(
+        -3, 3, size=n_features)
+    idx = {"none": None, "permutation": rng.permutation(n),
+           "repeats": rng.integers(0, n, size=draw(st.integers(1, 40)))}[
+        draw(st.sampled_from(["none", "permutation", "repeats"]))]
+    if draw(st.booleans()):
+        model = replace(model, norm=NormStats(
+            loc=rng.normal(size=n_features),
+            scale=10.0 ** rng.uniform(-3, 3, size=n_features)))
+    return model, rows, idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=step_reader_cases())
+def test_step_reader_is_inputs_bit_for_bit(case):
+    model, rows, idx = case
+    want = model._inputs(rows, idx)
+    steps = model._reader(rows, idx)
+    assert steps.shape == want.shape
+    for t in range(want.shape[1]):
+        assert np.array_equal(steps[:, t, :].view(np.uint64),
+                              want[:, t, :].view(np.uint64)), t
+
+
+@pytest.mark.parametrize("idx", [None, np.array([2, 0, 2])])
+def test_step_reader_refuses_as_inputs_does(idx):
+    # column 19 lies in the second of 16 steps of 2 features
+    model = init_gru(ModelConfig.for_features(20, 3, hidden_size=2))
+    rows = rng_stream(0, "gru-step-refusal").normal(size=(3, 20))
+    scale = np.ones(20)
+    scale[19] = 1e-310
+    model = replace(model, norm=NormStats(loc=np.zeros(20), scale=scale))
+    with pytest.raises(NumericDegeneracyError) as want:
+        model._inputs(rows, idx)
+    with pytest.raises(NumericDegeneracyError) as got:
+        model._reader(rows, idx)[:, 9, :]
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("feature column 19 ")
+
+
 class TestStratifiedSplit:
     def test_balanced_arithmetic(self):
         labels = np.array([0] * 34 + [1] * 33 + [2] * 33)
@@ -557,6 +609,22 @@ def test_training_holds_one_normalized_copy():
     input_mib = 1000 * 2548 * 8 / 2.0**20
     assert peak_rise_mib(_TRAIN_SETUP, "fit_and_predict(data)") <= (
         2.0 * input_mib + 16.0)
+
+
+_PREDICT_SETUP = _TRAIN_SETUP + """
+mc = gru.ModelConfig.for_features(2548, 3, hidden_size=64)
+model, _ = gru.train(table(60, 2), mc, gru.TrainConfig(epochs=1))
+gru.evaluate(model, table(60, 3))  # buffers on first use
+"""
+
+
+@pytest.mark.parametrize("step", ["model.predict_proba(data.rows)",
+                                  "gru.evaluate(model, data)"])
+def test_prediction_holds_no_scaled_copy_of_the_table(step):
+    # the 1000 x 2548 table (19.4 MiB) is read one step at a time: the
+    # hidden states (7.8 MiB) and one step's inputs are what remain
+    input_mib = 1000 * 2548 * 8 / 2.0**20
+    assert peak_rise_mib(_PREDICT_SETUP, step) <= 0.8 * input_mib
 
 
 class TestLinearBaseline:
