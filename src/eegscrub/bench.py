@@ -89,12 +89,6 @@ def _run_cell_seed(method: str, spec: NoiseSpec, snr_db: float, seed: int,
     }
 
 
-def _median_iqr(values) -> tuple:
-    arr = np.asarray(values, dtype=float)
-    q1, q3 = np.percentile(arr, [25, 75])
-    return float(np.median(arr)), float(q3 - q1)
-
-
 def run_bench(methods, noise_specs, snrs_db, seeds,
               n: int = 2048, fs: float = 256.0) -> dict:
     """Full grid; returns ``{"rows": [...]}`` of sorted leaderboard rows."""
@@ -114,11 +108,16 @@ def run_bench(methods, noise_specs, snrs_db, seeds,
             for snr_db in snrs_db:
                 draws = [_run_cell_seed(method, spec, snr_db, seed, n, fs)
                          for seed in seeds]
-                med_snr, iqr_snr = _median_iqr([d["snr_db"] for d in draws])
-                med_rmse, iqr_rmse = _median_iqr([d["rmse"] for d in draws])
-                med_corr, _ = _median_iqr([d["corr"] for d in draws])
-                gains = [d["snr_db"] - d["in_snr_db"] for d in draws]
-                reductions = [1.0 - d["rmse"] / d["in_rmse"] for d in draws]
+                # one row per series, one column per draw: out SNR, RMSE,
+                # correlation, SNR gain and RMSE reduction
+                series = np.array([[d["snr_db"], d["rmse"], d["corr"],
+                                    d["snr_db"] - d["in_snr_db"],
+                                    1.0 - d["rmse"] / d["in_rmse"]]
+                                   for d in draws]).T
+                q1, q3 = np.percentile(series[:2], [25, 75], axis=1)
+                iqr_snr, iqr_rmse = (q3 - q1).tolist()
+                med_snr, med_rmse, med_corr, med_gain, med_reduction = \
+                    np.median(series, axis=1).tolist()
                 rows.append({
                     "method": method,
                     "noise_kind": spec.kind,
@@ -130,8 +129,8 @@ def run_bench(methods, noise_specs, snrs_db, seeds,
                     "median_rmse": med_rmse,
                     "iqr_rmse": iqr_rmse,
                     "median_corr": med_corr,
-                    "median_gain_db": float(np.median(gains)),
-                    "median_rmse_reduction": float(np.median(reductions)),
+                    "median_gain_db": med_gain,
+                    "median_rmse_reduction": med_reduction,
                     "mix_roundtrip_max_db": max(
                         d["mix_roundtrip_db"] for d in draws
                     ),

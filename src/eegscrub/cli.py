@@ -245,6 +245,15 @@ def _method_inputs(needs: str | None, flags: dict, rec: Recording,
     if needs == "references":
         specs = [NoiseSpec.from_text(s) for s in
                  (flags["ref_noise"] or ["kind=powerline"])]
+        # a drawn reference is independent of the recording's contaminant,
+        # so it cannot correlate with it and cancels nothing
+        for spec in specs:
+            if spec.kind != "powerline":
+                raise UsageError(
+                    f"--ref-noise kind={spec.kind} is drawn at random, so it "
+                    "cannot correlate with a recording's contaminant; only "
+                    "powerline references (a sinusoid at the line "
+                    "frequency) are deterministic")
         return ([gen_noise(replace(s, seed=s.seed + seed), rec.n_samples,
                            rec.fs) for s in specs],)
     if needs == "template":

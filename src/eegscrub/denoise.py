@@ -81,18 +81,23 @@ def denoise_dwt(signal: Signal, levels: int = 3, mode: str = "soft") -> tuple:
     # noise scale from the finest detail band, threshold shared by all bands
     sigma = np.median(np.abs(dec.details[0])) / 0.6745
     threshold = sigma * np.sqrt(2.0 * np.log(len(signal)))
-    shrunk = []
+    shrunk, zeroed = [], 0
     for band in dec.details:
+        magnitude = np.abs(band)
+        zeroed += int(np.count_nonzero(magnitude <= threshold))
         if mode == "soft":
-            shrunk.append(np.sign(band) * np.maximum(np.abs(band) - threshold, 0.0))
+            shrunk.append(np.sign(band) * np.maximum(magnitude - threshold, 0.0))
         else:
-            shrunk.append(np.where(np.abs(band) > threshold, band, 0.0))
+            shrunk.append(np.where(magnitude > threshold, band, 0.0))
     cleaned = dwt_inverse(replace(dec, details=tuple(shrunk)))
     report = DenoiseReport(
         method_id="dwt",
         params={"levels": str(levels), "mode": mode,
                 "threshold": f"{threshold:.6g}"},
         input_len=len(signal),
+        # the detail coefficients at or below the threshold, set to zero
+        decisions={"sigma": float(sigma), "fraction_zeroed":
+                   zeroed / sum(len(band) for band in dec.details)},
     )
     return signal.with_samples(cleaned), report
 
@@ -123,6 +128,8 @@ def denoise_emd_maf(signal: Signal, ma_width: int = 5) -> tuple:
         params={"ma_width": str(ma_width)},
         components_removed=tuple(smoothed),
         input_len=len(signal),
+        decisions={"imf_count": len(imf_set.imfs),
+                   "sifts": list(imf_set.sifts)},
     )
     return signal.with_samples(total), report
 
@@ -341,6 +348,8 @@ def adaptive_kalman_denoise(signal: Signal, q: float = 1e-5, r0: float = 1.0,
         method_id="akf",
         params={"q": str(q), "r0": str(r0), "adapt_window": str(adapt_window)},
         input_len=len(signal),
+        # the measurement noise and the gain the filter ended on
+        decisions={"final_r": float(r), "final_gain": gain},
     )
     return signal.with_samples(out), report
 
@@ -368,6 +377,7 @@ def cascade_lms(
         # of a weak reference take no huge steps; positive for a zero one
         delta = 1e-3 * taps * float(np.var(x)) or np.finfo(float).tiny
         w = np.zeros(taps)
+        dot, step = w.dot, np.empty(taps)  # w is updated in place
         out = np.empty(n)
         # row t is the window at sample t, newest sample first: a view whose
         # rows are contiguous, as the dot products were fixed on
@@ -385,9 +395,12 @@ def cascade_lms(
                 targets = current[start:start + _FLOAT_BLOCK].tolist()
                 errs = []
                 for window, target, norm in zip(block, targets, norms):
-                    err = target - float(w @ window)
+                    err = target - float(dot(window))
                     errs.append(err)
-                    w = w + mu * err * window / norm
+                    # w + mu * err * window / norm, rounded as that is
+                    np.multiply(window, mu * err, step)
+                    step /= norm
+                    w += step
                 out[start:start + len(errs)] = errs
             stage_out_energy = float(out @ out)
         if not np.all(np.isfinite(out)) or stage_out_energy > 100.0 * stage_in_energy:

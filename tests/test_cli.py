@@ -516,6 +516,31 @@ class TestDenoise:
         report = read_report(str(out) + ".report.json")
         assert report["results"]["reports"][0]["method_id"] == "ssa_cca"
 
+    @pytest.mark.parametrize("kind", ["awgn", "emg_burst", "baseline_wander",
+                                      "blink"])
+    def test_drawn_reference_refused(self, raw_csv, tmp_path, capsys, kind):
+        # a drawn reference is independent of the recording's contaminant;
+        # a powerline one, given after it, does not rescue the run
+        out = tmp_path / "clean.csv"
+        assert run("denoise", "--in", str(raw_csv), "--method", "cascade_lms",
+                   "--out", str(out), "--ref-noise", f"kind={kind},seed=2",
+                   "--ref-noise", "kind=powerline") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --ref-noise kind={kind} is drawn at "
+                              "random"), err
+        assert "only powerline references" in err
+        assert not out.exists()
+        assert not Path(str(out) + ".report.json").exists()
+
+    def test_powerline_references_run(self, raw_csv, tmp_path):
+        out = tmp_path / "clean.csv"
+        assert run("denoise", "--in", str(raw_csv), "--method", "cascade_lms",
+                   "--out", str(out), "--ref-noise", "kind=powerline",
+                   "--ref-noise", "kind=powerline,freq=60,seed=1") == 0
+        report = read_report(str(out) + ".report.json")
+        assert all(len(r["decisions"]["energy_reduction_db"]) == 2
+                   for r in report["results"]["reports"])
+
 
 class TestFeaturePipeline:
     def test_extract_train_eval_predict(self, raw_csv, tmp_path,

@@ -2,8 +2,9 @@
 
 scipy is imported inside the functions that call it, so importing the
 package and running ``train``, ``eval``, ``predict`` or a scipy-free
-denoiser costs no scipy start-up. Each case runs in a fresh interpreter,
-since this test process has scipy loaded already.
+denoiser costs no scipy start-up, and EMD's envelopes load only
+``scipy.linalg``. Each case runs in a fresh interpreter, since this test
+process has scipy loaded already.
 """
 
 import json
@@ -69,15 +70,28 @@ def test_train_eval_predict_load_no_scipy(tmp_path):
     assert scipy_modules_after(tmp_path, code) == [[]]
 
 
-def test_denoise_ssa_cca_loads_no_scipy(tmp_path):
+def denoise_noise(tmp_path, method: str) -> str:
+    """``denoise --method <method>`` of a 4-channel noise recording, as
+    code for ``scipy_modules_after``."""
     rng = rng_stream(0, "scipy-free")
     save_raw_csv(Recording(
         channels=tuple(Signal(samples=rng.normal(size=512), fs=256.0)
                        for _ in range(4)),
         channel_names=("TP9", "AF7", "AF8", "TP10")), tmp_path / "raw.csv")
-    code = (
-        "from eegscrub.cli import main\n"
-        "assert main(['denoise', '--in', 'raw.csv', '--method', 'ssa_cca',\n"
-        "             '--out', 'clean.csv']) == 0\n"
-    )
+    return ("from eegscrub.cli import main\n"
+            f"assert main(['denoise', '--in', 'raw.csv', '--method', "
+            f"'{method}', '--out', 'clean.csv']) == 0\n")
+
+
+def test_denoise_ssa_cca_loads_no_scipy(tmp_path):
+    code = denoise_noise(tmp_path, "ssa_cca")
     assert scipy_modules_after(tmp_path, code) == [[]]
+
+
+def test_denoise_emd_maf_loads_linalg_not_interpolate(tmp_path):
+    # the envelopes call LAPACK's tridiagonal solver, not CubicSpline
+    (loaded,) = scipy_modules_after(tmp_path, denoise_noise(tmp_path,
+                                                            "emd_maf"))
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.interpolate")]
+    assert "scipy.signal" not in loaded
