@@ -29,7 +29,7 @@ from .dataset import (
     write_csv,
     write_report,
 )
-from .denoise import METHOD_IDS, METHODS, apply_method
+from .denoise import METHOD_IDS, METHODS, Param, apply_method
 from .errors import (DataFormatError, EegScrubError, InvalidSpecError,
                      TooShortError)
 from .features import build_feature_matrix
@@ -89,20 +89,65 @@ _FILE_FLAGS = {"input": ("in", None), "out": ("out", None),
                "features": ("features", None), "model": ("model", None),
                "history": ("history", "per-epoch CSV path")}
 
-# the train flags only the GRU reads, by dest: (type, default)
-_GRU_FLAGS = {"hidden": (int, 64), "grad_clip": (float, 5.0)}
+# the flags each value of a selector flag owns, by the selector's dest, then
+# by value: a method's keywords plus the flags of the inputs its
+# MethodSpec.needs names, and the GRU's own flags. Each owned flag and its
+# default are declared here once; see _add_owned and _owned_flags
+_NEEDS_FLAGS = {
+    "references": (Param("ref_noise", list, ["kind=powerline"], help=(
+        "reference noise spec for cascade_lms (repeatable)")),),
+    "template": (Param("template_width", float, 0.3,
+                       help="blink template width in seconds"),
+                 Param("frontal", None, None, help=(
+                     "comma-separated frontal channel names for "
+                     "blink_template (default: first two channels)")))}
+_OWNED = {
+    "method": {m: spec.params + _NEEDS_FLAGS.get(spec.needs, ())
+               for m, spec in METHODS.items()},
+    "model_kind": {"gru": (Param("hidden", int, 64),
+                           Param("grad_clip", float, 5.0)),
+                   "linear": ()},
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _add_owned(p: argparse.ArgumentParser, selector: str) -> None:
+    """Register once each flag a value of ``selector`` owns. An unset one
+    stays out of the namespace, so _owned_flags can tell it was not given."""
+    params = {q.name: q for own in _OWNED[selector].values() for q in own}
+    for q in params.values():
+        shown = q.default is not None and f"default {q.default}"
+        p.add_argument(_flag(q.name), default=argparse.SUPPRESS,
+                       choices=q.choices,
+                       help="; ".join(filter(None, (q.help, shown))) or None,
+                       **({"action": "append"} if q.type is list
+                          else {"type": q.type}))
+
+
+def _owned_flags(args, selector: str) -> dict:
+    """The flags the chosen value of ``selector`` owns, each unset one at its
+    default; a flag only other values own is a usage error naming both."""
+    value, given = getattr(args, selector), vars(args)
+    own = {q.name: q.default for q in _OWNED[selector][value]}
+    for q in (q for params in _OWNED[selector].values() for q in params):
+        if q.name in given and q.name not in own:
+            raise UsageError(f"{_flag(q.name)} does not apply to "
+                             f"{_flag(selector)} {value}")
+    return {dest: given.get(dest, default) for dest, default in own.items()}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="eegscrub",
                      description="EEG artifact removal and emotion "
                                  "classification toolkit")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (fallback: EEGSCRUB_SEED, then 0)")
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a subcommand-level default from clobbering a root value
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="master seed (fallback: EEGSCRUB_SEED, then 0)")
+    for p, default in ((parser, None), (common, argparse.SUPPRESS)):
+        p.add_argument("--seed", type=int, default=default,
+                       help="master seed (fallback: EEGSCRUB_SEED, then 0)")
     common.add_argument("--report", default=None, help="JSON report path")
     subparsers = parser.add_subparsers(dest="command")
 
@@ -129,18 +174,7 @@ def build_parser() -> _Parser:
             "apply one artifact-removal method")
     p.add_argument("--method", required=True, choices=sorted(METHOD_IDS))
     p.add_argument("--fs", type=float, default=256.0)
-    # every method's tunable keywords and input flags, each registered once;
-    # an unset one stays out of the namespace (see _method_flags)
-    for param in (p for spec in METHODS.values() for p in spec.params):
-        p.add_argument("--" + param.name.replace("_", "-"), type=param.type,
-                       default=argparse.SUPPRESS, choices=param.choices)
-    p.add_argument("--ref-noise", action="append", default=argparse.SUPPRESS,
-                   help="reference noise spec for cascade_lms (repeatable)")
-    p.add_argument("--template-width", type=float, default=argparse.SUPPRESS,
-                   help="blink template width in seconds (default 0.3)")
-    p.add_argument("--frontal", default=argparse.SUPPRESS,
-                   help="comma-separated frontal channel names for "
-                        "blink_template (default: first two channels)")
+    _add_owned(p, "method")
 
     p = add("bench", _Command(_cmd_bench, (), ("out",)),
             "run the Monte-Carlo benchmark grid", out="leaderboard CSV path")
@@ -166,15 +200,13 @@ def build_parser() -> _Parser:
     p = add("train", _Command(_cmd_train, ("features",), ("model", "history"),
                               "{model}.report.json"),
             "train the GRU or the linear baseline")
-    p.add_argument("--model-kind", choices=("gru", "linear"), default="gru")
+    p.add_argument("--model-kind", choices=tuple(_OWNED["model_kind"]),
+                   default="gru")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--val-fraction", type=float, default=0.15)
-    # the GRU's own flags; an unset one stays out of the namespace
-    for dest, (kind, default) in _GRU_FLAGS.items():
-        p.add_argument("--" + dest.replace("_", "-"), type=kind,
-                       default=argparse.SUPPRESS, help=f"default {default}")
+    _add_owned(p, "model_kind")
 
     add("eval", _Command(_cmd_eval, ("features", "model"), (),
                          "{model}.eval-report.json"),
@@ -191,24 +223,20 @@ def _cmd_simulate(args, seed: int) -> tuple:
             f"--duration {args.duration:g} at --fs {args.fs:g} gives "
             f"{samples:g} samples, need a finite count >= 1")
     n = int(round(samples))
-    channels, names = [], []
     spec = NoiseSpec.from_text(args.noise) if args.noise else None
-    mix_info = []
+    channels, mix_info = [], []
     for c in range(args.channels):
-        clean = make_clean(seed, n, args.fs, channel=c)
+        signal = make_clean(seed, n, args.fs, channel=c)
         if spec is not None:
             noise = gen_noise(replace(spec, seed=spec.seed + seed + c), n,
                               args.fs)
-            mixed, mrep = mix_at_snr(clean, noise, args.snr)
+            signal, mrep = mix_at_snr(signal, noise, args.snr)
             mix_info.append({"channel": c,
                              "achieved_snr_db": mrep.achieved_snr_db,
                              "noise_scale": mrep.noise_scale})
-            channels.append(mixed)
-        else:
-            channels.append(clean)
-        names.append(f"ch{c}")
-    rec = Recording(channels=tuple(channels), channel_names=tuple(names))
-    save_raw_csv(rec, args.out)
+        channels.append(signal)
+    save_raw_csv(Recording(channels=tuple(channels), channel_names=tuple(
+        f"ch{c}" for c in range(args.channels))), args.out)
     config = {"duration": args.duration, "fs": args.fs,
               "channels": args.channels,
               "noise": spec.to_text() if spec else None,
@@ -216,35 +244,12 @@ def _cmd_simulate(args, seed: int) -> tuple:
     return config, {"n_samples": n, "mixes": mix_info}
 
 
-# the flags of the inputs a method needs besides the signal, by
-# MethodSpec.needs, with their defaults
-_INPUT_FLAGS = {"references": {"ref_noise": None},
-                "template": {"template_width": 0.3, "frontal": None}}
-
-
-def _method_flags(args) -> dict:
-    """The chosen method's keywords and input flags, each unset one at its
-    default; a flag that only other methods read is a usage error."""
-    spec = METHODS[args.method]
-    own = {p.name: p.default for p in spec.params}
-    own.update(_INPUT_FLAGS.get(spec.needs, {}))
-    every = [p.name for other in METHODS.values() for p in other.params]
-    every += [dest for flags in _INPUT_FLAGS.values() for dest in flags]
-    given = vars(args)
-    for dest in every:
-        if dest in given and dest not in own:
-            raise UsageError(f"--{dest.replace('_', '-')} does not apply to "
-                             f"--method {args.method}")
-    return {dest: given.get(dest, default) for dest, default in own.items()}
-
-
 def _method_inputs(needs: str | None, flags: dict, rec: Recording,
                    seed: int) -> tuple:
     """The references or the template a method needs, built from its
-    flags."""
+    flags; an unset ``frontal`` is set to the channels used."""
     if needs == "references":
-        specs = [NoiseSpec.from_text(s) for s in
-                 (flags["ref_noise"] or ["kind=powerline"])]
+        specs = [NoiseSpec.from_text(s) for s in flags["ref_noise"]]
         # a drawn reference is independent of the recording's contaminant,
         # so it cannot correlate with it and cancels nothing
         for spec in specs:
@@ -263,6 +268,7 @@ def _method_inputs(needs: str | None, flags: dict, rec: Recording,
             raise UsageError(f"--frontal must name channels of the recording "
                              f"({', '.join(rec.channel_names)}), got "
                              f"{flags['frontal']!r}")
+        flags["frontal"] = ",".join(frontal)
         spec = NoiseSpec("blink", {"width": flags["template_width"]},
                          seed=seed)
         return make_blink_template(spec, rec.fs), frontal
@@ -271,7 +277,7 @@ def _method_inputs(needs: str | None, flags: dict, rec: Recording,
 
 def _cmd_denoise(args, seed: int) -> tuple:
     spec = METHODS[args.method]
-    flags = _method_flags(args)
+    flags = _owned_flags(args, "method")
     rec = load_raw_csv(args.input, fs=args.fs)
     inputs = _method_inputs(spec.needs, flags, rec, seed)
     out, reps = apply_method(args.method, rec, *inputs,
@@ -321,30 +327,17 @@ def _cmd_extract(args, seed: int) -> tuple:
     return config, {"n_rows": matrix.n_rows, "n_features": matrix.n_features}
 
 
-def _gru_flags(args) -> dict:
-    """The GRU-only flags, each unset one at its default; for another model
-    kind, a given one is a usage error."""
-    given = vars(args)
-    for dest in _GRU_FLAGS:
-        if dest in given and args.model_kind != "gru":
-            raise UsageError(f"--{dest.replace('_', '-')} does not apply to "
-                             f"--model-kind {args.model_kind}")
-    return {dest: given.get(dest, default)
-            for dest, (_, default) in _GRU_FLAGS.items()}
-
-
 def _cmd_train(args, seed: int) -> tuple:
-    flags = _gru_flags(args)
+    flags = _owned_flags(args, "model_kind")  # the GRU's, or none
+    hidden = flags.pop("hidden", None)
     dataset = load_feature_csv(args.features)
     tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                     learning_rate=args.lr, grad_clip=flags["grad_clip"],
-                     val_fraction=args.val_fraction, seed=seed)
+                     learning_rate=args.lr, val_fraction=args.val_fraction,
+                     seed=seed, **flags)
     train_config = asdict(tc)
     if args.model_kind == "gru":
         mc = ModelConfig.for_features(dataset.features.n_features,
-                                      len(CLASS_NAMES),
-                                      hidden_size=flags["hidden"],
-                                      seed=seed)
+                                      len(CLASS_NAMES), hidden, seed)
         model, history = train(dataset.features, mc, tc)
         model_config = asdict(mc)
     else:
@@ -434,7 +427,7 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required")
         for k, v in vars(args).items():  # every float flag
             if isinstance(v, float) and not math.isfinite(v):
-                raise UsageError(f"--{k.replace('_', '-')} must be finite, not {v}")
+                raise UsageError(f"{_flag(k)} must be finite, not {v}")
         seed = _resolve_seed(args.seed)
         command = args.run
         report_path = args.report or command.report.format(**vars(args))

@@ -119,8 +119,10 @@ def _sift(residual: np.ndarray, sift_tol: float) -> tuple | None:
             return None if h is residual else (h, sifts)
         mean = (_envelope(h, maxima) + _envelope(h, minima)) / 2.0
         h_new = h - mean
-        denom = float(np.sum(h * h))
-        sd = float(np.sum((h - h_new) ** 2)) / denom if denom > 0 else 0.0
+        # on h scaled by a power of two: exact, and no square overflows
+        e = -np.frexp(np.max(np.abs(h)))[1]
+        denom = float(np.sum(np.ldexp(h, e) ** 2))
+        sd = float(np.sum(np.ldexp(h - h_new, e) ** 2)) / denom if denom > 0 else 0.0
         h = h_new
         if sd < sift_tol:
             break

@@ -55,7 +55,9 @@ def _dominant_freq(samples: np.ndarray, fs: float) -> float:
 
 
 def _energy_fraction_above(samples: np.ndarray, fs: float, f0: float) -> float:
-    power = np.abs(np.fft.rfft(samples)) ** 2
+    # on the samples scaled by a power of two: exact, and no square overflows
+    scaled = np.ldexp(samples, -np.frexp(np.max(np.abs(samples)))[1])
+    power = np.abs(np.fft.rfft(scaled)) ** 2
     total = power.sum()
     if total == 0.0:
         return 0.0
@@ -481,8 +483,9 @@ def remove_blink_template(
     return rec.with_channels(cleaned), report
 
 
-# a method's tunable keyword with its command-line type and default
-Param = namedtuple("Param", "name type default choices", defaults=(None,))
+# a method's tunable keyword with its command-line type, default and help
+Param = namedtuple("Param", "name type default choices help",
+                   defaults=(None, None))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ checked against finite differences in the test suite.
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -182,8 +183,8 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
+    with np.errstate(over="ignore"):  # logits wider than the float range
+        ex = np.exp(logits - logits.max(axis=-1, keepdims=True))  # -inf: 0
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
@@ -693,12 +694,12 @@ def load_model(path):
         problem = _header_problem(header)
         if problem:
             raise DataFormatError(f"{path}: {problem}")
-        arrays = {}
+        arrays, end = {}, os.fstat(fh.fileno()).st_size
         for name, shape in header["manifest"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            size = math.prod(shape) * 8  # any size: checked before reading
+            if fh.tell() + size > end:
                 raise DataFormatError(f"{path}: truncated array {name!r}")
+            buf = fh.read(size)
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     kind = header["kind"]
     keys, names = _MODEL_LAYOUT[kind]

@@ -541,6 +541,17 @@ class TestDenoise:
         assert all(len(r["decisions"]["energy_reduction_db"]) == 2
                    for r in report["results"]["reports"])
 
+    @pytest.mark.parametrize("method, dest, value", [
+        ("blink_template", "frontal", "ch0,ch1"),
+        ("cascade_lms", "ref_noise", ["kind=powerline"])])
+    def test_default_inputs_reported(self, raw_csv, tmp_path, method, dest,
+                                     value):
+        # the report names the input a method ran with, not a null
+        out = tmp_path / "clean.csv"
+        assert run("denoise", "--in", str(raw_csv), "--method", method,
+                   "--out", str(out)) == 0
+        assert read_report(str(out) + ".report.json")["config"][dest] == value
+
 
 class TestFeaturePipeline:
     def test_extract_train_eval_predict(self, raw_csv, tmp_path,
@@ -869,7 +880,23 @@ MALFORMED_HEADERS = {
     "negative_shape": {"format_version": 1, "kind": "linear",
                        "config": {"n_classes": 3},
                        "manifest": [["w", [-3, 24]], ["b", [3]]]},
+    # shapes whose byte count overflows int64, or wraps to 0 in it
+    "int64_overflow_shape": {"format_version": 1, "kind": "linear",
+                             "config": {"n_classes": 3},
+                             "manifest": [["w", [2**31, 2**31]], ["b", [3]]]},
+    "beyond_int64_shape": {"format_version": 1, "kind": "linear",
+                           "config": {"n_classes": 3},
+                           "manifest": [["w", [10**30]], ["b", [3]]]},
+    "wrapping_shape": {"format_version": 1, "kind": "linear",
+                       "config": {"n_classes": 3},
+                       "manifest": [["w", [2**40, 2**40]], ["b", [3]]]},
 }
+
+
+def write_malformed(path: Path, case: str) -> None:
+    # enough float64 payload for a linear model's arrays
+    path.write_bytes(MODEL_MAGIC + json.dumps(MALFORMED_HEADERS[case]).encode()
+                     + b"\n" + bytes(8 * (3 * 24 + 3)))
 
 
 class TestMalformedModel:
@@ -877,14 +904,20 @@ class TestMalformedModel:
     def test_data_error_not_traceback(self, tmp_path, labeled_csv, capsys,
                                       case):
         path = tmp_path / "model.bin"
-        # enough float64 payload for every array the header names
-        path.write_bytes(MODEL_MAGIC
-                         + json.dumps(MALFORMED_HEADERS[case]).encode()
-                         + b"\n" + bytes(8 * (3 * 24 + 3)))
+        write_malformed(path, case)
         assert run("eval", "--features", str(labeled_csv),
                    "--model", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("case", ["int64_overflow_shape",
+                                      "beyond_int64_shape", "wrapping_shape"])
+    def test_array_past_the_end_is_never_read(self, tmp_path, case):
+        path = tmp_path / "model.bin"
+        write_malformed(path, case)
+        with pytest.raises(DataFormatError,
+                           match=f"^{re.escape(str(path))}: truncated array 'w'$"):
+            load_model(path)
 
 
 class TestImpossibleModelValues:

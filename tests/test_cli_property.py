@@ -172,6 +172,9 @@ def planted(scale: float) -> tuple:
 @example(table=planted(1e200), kind="linear", lr="1e-3")
 @example(table=planted(1.0), kind="gru", lr="1e308")
 @example(table=planted(1.0), kind="linear", lr="1e308")
+# biases ending near +-1e308, so the logits differ by more than the float range
+@example(table=(np.ones((60, 1)), np.arange(60) % 3), kind="linear",
+         lr="1e308")
 def test_train_eval_predict_exit_cleanly(table, kind, lr):
     rows, labels = table
     matrix = FeatureMatrix(rows, [f"f{c}" for c in range(rows.shape[1])],
