@@ -268,6 +268,11 @@ def _method_inputs(needs: str | None, flags: dict, rec: Recording,
             raise UsageError(f"--frontal must name channels of the recording "
                              f"({', '.join(rec.channel_names)}), got "
                              f"{flags['frontal']!r}")
+        # the report records them joined by commas, as --frontal reads them
+        for name in frontal:
+            if "," in name:
+                raise UsageError(f"frontal channel {name!r} holds a comma, "
+                                 "so no --frontal value can name it")
         flags["frontal"] = ",".join(frontal)
         spec = NoiseSpec("blink", {"width": flags["template_width"]},
                          seed=seed)

@@ -183,15 +183,10 @@ def _blocks(path, start, stop):
             yield block
 
 
-def _text(block: bytes):
-    """The lines of ``block`` as a file opened in text mode reads them (\\r
-    and \\r\\n read as \\n)."""
-    return io.TextIOWrapper(io.BytesIO(block), encoding="utf-8")
-
-
 def _plain_text(block: bytes):
-    """:func:`_text` of a block without ``"`` and without a line longer
-    than csv's field size limit, else ValueError. A line is measured in
+    """The lines of a block without ``"`` and without a line longer than
+    csv's field size limit, as a file opened in text mode reads them (\\r
+    and \\r\\n read as \\n), else ValueError. A line is measured in
     bytes with its end, one counted for a last line without one, so a line
     may count as longer than its text but never as shorter."""
     codes = np.frombuffer(block, np.uint8)
@@ -199,7 +194,24 @@ def _plain_text(block: bytes):
     longest = np.diff(ends, prepend=-1, append=len(block)).max()
     if b'"' in block or longest > csv.field_size_limit():
         raise ValueError("a line is not plain")
-    return _text(block)
+    return io.TextIOWrapper(io.BytesIO(block), encoding="utf-8")
+
+
+def _cut_cell(line: str, i: int, width: int) -> tuple:
+    """``line`` of ``width`` cells without cell ``i``, and that cell; only
+    the commas between the cell and the nearer end of the line are looked
+    for. ValueError if the line has too few commas."""
+    if i < width - 1 - i:
+        lo = -1
+        for _ in range(i):
+            lo = line.index(",", lo + 1)
+        hi = line.index(",", lo + 1)
+        return line[:lo + 1] + line[hi + 1:], line[lo + 1:hi]
+    hi = len(line)
+    for _ in range(width - 1 - i):
+        hi = line.rindex(",", 0, hi)
+    lo = line.rindex(",", 0, hi)
+    return line[:lo] + line[hi:], line[lo + 1:hi]
 
 
 def _read_plain(path, text_column, parse_text) -> tuple:
@@ -224,8 +236,6 @@ def _read_plain(path, text_column, parse_text) -> tuple:
             fh.readline()
             cuts.append(fh.tell())
         cuts.append(size)
-    # the text cell's place from the end, if it is parsed
-    k = None if None in (text_idx, parse_text) else len(header) - text_idx
     numbers = [i for i in range(len(header)) if i != text_idx]
 
     def read_share(share, out):
@@ -233,31 +243,27 @@ def _read_plain(path, text_column, parse_text) -> tuple:
         floats."""
         texts = []
         blocks = _blocks(path, cuts[share], cuts[share + 1])
+        lines = itertools.chain.from_iterable(map(_plain_text, blocks))
+        lines = itertools.filterfalse("\n".__eq__, lines)  # not blank ones
 
-        def plain_lines():
-            for line in itertools.chain.from_iterable(map(_text, blocks)):
-                if line == "\n":
-                    continue
-                if ('"' in line or line.count(",") != len(header) - 1
-                        or len(line) > csv.field_size_limit()):
-                    raise ValueError("a line is not plain")
-                if k:
-                    cell = line.rstrip("\n").rsplit(",", k)[-k]
-                    texts.append(parse_text(cell))
-                yield line
+        def numeric(line):
+            """The line without its text cell, which is parsed if asked."""
+            rest, cell = _cut_cell(line.rstrip("\n"), text_idx, len(header))
+            if not rest:  # loadtxt would skip it as blank
+                raise ValueError("an empty number")
+            if parse_text:
+                texts.append(parse_text(cell))
+            return rest
 
-        # with no text column, loadtxt reads the text itself, refusing a
+        if text_idx is not None:
+            lines = map(numeric, lines)
+        # the first row, before loadtxt warns of no data; loadtxt refuses a
         # row whose cell count differs from the first row's
-        lines = plain_lines() if text_idx is not None else \
-            itertools.chain.from_iterable(map(_plain_text, blocks))
-        # the first row that is not blank, before loadtxt warns of no data
-        first = next(itertools.filterfalse("\n".__eq__, lines), None)
+        first = next(lines, None)
         values = np.empty((0, len(numbers)))
         if first is not None:
-            values = np.loadtxt(
-                itertools.chain([first], lines), delimiter=",", comments=None,
-                dtype=float, ndmin=2,
-                usecols=None if text_idx is None else numbers)
+            values = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                                comments=None, dtype=float, ndmin=2)
         if values.shape[1] != len(numbers):
             raise ValueError("a row is not as wide as the header")
         if not np.isfinite(values).all():

@@ -13,9 +13,9 @@ it needs reference signals or a blink template. The bench, the CLI's
 ``--method`` choices, per-method flags and report config all read the table.
 """
 
+import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -196,17 +196,16 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
     CCA pairs each component with itself one sample earlier (sample 0 with
     itself). Memory: the k components are built in chunks of
     ``_BLOCK_BYTES // (8 * 2k)`` samples (4,096 for 4 channels), never
-    whole. Pass 1 merges each chunk's ``moments`` into CCA's covariances.
-    Pass 2 goes over the chunks again, last first, writes the kept sources
-    back onto their channels, and merges the sources' own lag-1 moments,
-    which decide what is kept; where they undo the guess pass 2 wrote, a
-    third pass writes the output again. The last chunk built is kept, and
-    each pass starts on the chunk the one before ended on, so a one-chunk
-    input builds its components once. An input of one chunk is one
-    ``moments`` call, as in ``cca``, so its output is bit for bit that of
-    the code that held the components whole.
-    Measured in a fresh process, peak RSS rises by 4.5 MiB on a 10-minute
-    4-channel recording and by 22.6 MiB on a 60-minute one, output included.
+    whole, and each chunk once. Pass 1 builds them, merges each chunk's
+    ``moments`` into CCA's covariances and spills the chunk to an unnamed
+    temporary file: k * n * 8 bytes, 19.7 MB for a 10-minute 4-channel
+    recording. Pass 2 reads the chunks back, last first, and merges the
+    sources' own lag-1 moments, which decide what is kept. Pass 3 reads them
+    back in order and writes the kept sources onto their channels. An input
+    of one chunk is one ``moments`` call, as in ``cca``, so its output is
+    bit for bit that of the code that held the components whole.
+    Measured in a fresh process, peak RSS rises by 4.3 MiB on a 10-minute
+    4-channel recording and by 21.6 MiB on a 60-minute one, output included.
     """
     n_ch = len(rec.channels)
     if not 1 <= n_ch <= 8:
@@ -231,70 +230,56 @@ def remove_muscle_ssa_cca(rec: Recording, autocorr_thresh: float = 0.9) -> tuple
         raise TooShortError(f"need more samples ({n}) than components ({k})")
     step = max(2, _BLOCK_BYTES // (8 * 2 * k))
     starts = range(0, n, step)
+    sums, at = np.zeros(k), [0]  # at: where each chunk starts, then the end
+    with tempfile.TemporaryFile() as spill:
+        # pass 1: CCA's rows [x_t, x_{t-1}]. The output's offsets take each
+        # component's sum along it: on one chunk, that is the sum of the
+        # whole component, bit for bit
+        for start in starts:
+            # the components, C-ordered samples x k, from the sample before
+            # ``start`` (from ``start`` if it is 0) to the chunk's end
+            comps = np.column_stack([
+                model.component(i, max(0, start - 1), min(start + step, n))
+                for model, i in parts])
+            now = comps[min(start, 1):]
+            # sample 0 stands in for the sample before it
+            before = np.concatenate([comps[:1], comps[:-1]]) if start == 0 \
+                else comps[:-1]
+            sums += [column.sum() for column in now.T]
+            here = moments(now, before)
+            summed = here if start == 0 else merge_moments(summed, here)
+            spill.write(comps)
+            at.append(spill.tell())
+        count, mean, gram = summed
+        wx, _, correlations = cca_from_moments(gram[:k, :k] / (count - 1),
+                                               gram[k:, k:] / (count - 1),
+                                               gram[:k, k:] / (count - 1))
+        try:
+            back = np.linalg.inv(wx)
+        except np.linalg.LinAlgError:
+            raise NumericDegeneracyError("canonical projection is not invertible")
 
-    @lru_cache(maxsize=1)
-    def chunk(start):
-        """The components, C-ordered samples x k, from the sample before
-        ``start`` (from ``start`` if it is 0) to the chunk's end."""
-        lo, stop = max(0, start - 1), min(start + step, n)
-        return np.column_stack([model.component(i, lo, stop)
-                                for model, i in parts])
+        def sources(j):
+            """Chunk ``j``'s sources, read back from the spill."""
+            comps = np.empty(((at[j + 1] - at[j]) // (8 * k), k))
+            spill.seek(at[j])
+            spill.readinto(comps)
+            return wx @ (comps - mean[:k]).T
 
-    # pass 1: CCA's rows [x_t, x_{t-1}]. The output's offsets take each
-    # component's sum along it: on one chunk, that is the sum of the whole
-    # component, bit for bit
-    sums = np.zeros(k)
-    for start in starts:
-        comps = chunk(start)
-        now = comps[min(start, 1):]
-        # sample 0 stands in for the sample before it
-        before = np.concatenate([comps[:1], comps[:-1]]) if start == 0 \
-            else comps[:-1]
-        sums += [column.sum() for column in now.T]
-        here = moments(now, before)
-        summed = here if start == 0 else merge_moments(summed, here)
-    count, mean, gram = summed
-    wx, _, correlations = cca_from_moments(gram[:k, :k] / (count - 1),
-                                           gram[k:, k:] / (count - 1),
-                                           gram[:k, k:] / (count - 1))
-    try:
-        back = np.linalg.inv(wx)
-    except np.linalg.LinAlgError:
-        raise NumericDegeneracyError("canonical projection is not invertible")
-    owners = np.equal.outer(np.arange(n_ch), owner).astype(float)
-    mix = owners @ back  # each source's share of each channel
-    offset = owners @ (sums / n)
-    out = [np.empty(n) for _ in range(n_ch)]
-
-    def write(start, comps, kept):
-        """Writes the chunk's kept sources, back on their channels, into the
-        output; returns all its sources, from the sample before ``start``."""
-        sources = wx @ (comps - mean[:k]).T
-        part = mix[:, kept] @ sources[kept][:, min(start, 1):]
-        for row, values, level in zip(out, part, offset):
-            row[start:start + step] = values + level
-        return sources
-
-    # which sources to keep is guessed from quadratic forms in the
-    # components' moments and decided by the sources' own moments, summed
-    # in pass 2. The forms cannot resolve a variance within their rounding,
-    # such as a noise-free recording's null sources have (about 1e-16 of
-    # the forms' size); such a source is guessed constant, so kept
-    halves = (slice(0, k), slice(k, None))  # x_t, then x_{t-1}
-    forms = np.array([[np.sum(wx @ gram[a, b] * wx, axis=1) for b in halves]
-                      for a in halves])
-    rounding = np.sum(np.abs(wx) @ np.abs(gram[:k, :k]) * np.abs(wx), axis=1)
-    forms[0, 0][forms[0, 0] <= 1e-12 * rounding] = 0.0
-    kept = [i for i, rho in enumerate(_lag1(forms)) if rho >= autocorr_thresh]
-    for start in reversed(starts):  # pass 2
-        here = _lag_moments(write(start, chunk(start), kept))
-        exact = here if start == starts[-1] else merge_moments(exact, here)
-    autocorrs = _lag1(exact[2])
-    zeroed = [i for i, rho in enumerate(autocorrs) if rho < autocorr_thresh]
-    decided = [i for i, rho in enumerate(autocorrs) if rho >= autocorr_thresh]
-    if decided != kept:
-        for start in starts:  # pass 3
-            write(start, chunk(start), decided)
+        for j in reversed(range(len(starts))):  # pass 2
+            here = _lag_moments(sources(j))
+            exact = here if j == len(starts) - 1 else merge_moments(exact, here)
+        autocorrs = _lag1(exact[2])
+        zeroed = [i for i, rho in enumerate(autocorrs) if rho < autocorr_thresh]
+        kept = [i for i, rho in enumerate(autocorrs) if rho >= autocorr_thresh]
+        owners = np.equal.outer(np.arange(n_ch), owner).astype(float)
+        mix = owners @ back  # each source's share of each channel
+        offset = owners @ (sums / n)
+        out = [np.empty(n) for _ in range(n_ch)]
+        for j, start in enumerate(starts):  # pass 3
+            part = mix[:, kept] @ sources(j)[kept][:, min(start, 1):]
+            for row, values, level in zip(out, part, offset):
+                row[start:start + step] = values + level
     # each row is freed once its signal holds a copy
     out_channels = [ch.with_samples(out.pop(0)) for ch in rec.channels]
     report = DenoiseReport(

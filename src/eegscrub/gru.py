@@ -700,7 +700,10 @@ def load_model(path):
             if fh.tell() + size > end:
                 raise DataFormatError(f"{path}: truncated array {name!r}")
             buf = fh.read(size)
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            try:
+                arrays[name] = np.frombuffer(buf, "<f8").reshape(shape).copy()
+            except ValueError as exc:  # a 0-byte shape numpy cannot hold
+                raise DataFormatError(f"{path}: array {name!r}: {exc}")
     kind = header["kind"]
     keys, names = _MODEL_LAYOUT[kind]
     config = {k: header["config"][k] for k in keys}

@@ -347,6 +347,20 @@ class TestExitCodes:
         assert "--frontal" in err and "ch0, ch1, ch2, ch3" in err
         assert "'ch0,zz'" in err and not out.exists()
 
+    def test_default_frontal_channel_with_comma_usage_error(self, tmp_path,
+                                                          capsys):
+        # the default frontal channels are the first two; the first is
+        # "A,B", which no comma-separated --frontal value can replay
+        raw, out = tmp_path / "quoted.csv", tmp_path / "out.csv"
+        rows = "".join(f"{i % 7},{i % 5}\n" for i in range(1024))
+        raw.write_text('"A,B",ch1\n' + rows)
+        assert run("denoise", "--in", str(raw), "--method", "blink_template",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "frontal channel 'A,B' holds a comma" in err
+        assert not out.exists()
+        assert not Path(str(out) + ".report.json").exists()
+
     def test_unparsable_snrs_usage_error(self, tmp_path, capsys):
         out = tmp_path / "lb.csv"
         assert run("bench", "--snrs", "0,x", "--out", str(out)) == 1
@@ -890,6 +904,10 @@ MALFORMED_HEADERS = {
     "wrapping_shape": {"format_version": 1, "kind": "linear",
                        "config": {"n_classes": 3},
                        "manifest": [["w", [2**40, 2**40]], ["b", [3]]]},
+    # 0 bytes, so never past the end, but a dimension numpy cannot hold
+    "zero_size_huge_shape": {"format_version": 1, "kind": "linear",
+                             "config": {"n_classes": 3},
+                             "manifest": [["w", [10**30, 0]], ["b", [3]]]},
 }
 
 
@@ -917,6 +935,14 @@ class TestMalformedModel:
         write_malformed(path, case)
         with pytest.raises(DataFormatError,
                            match=f"^{re.escape(str(path))}: truncated array 'w'$"):
+            load_model(path)
+
+
+    def test_shape_numpy_cannot_hold_named(self, tmp_path):
+        path = tmp_path / "model.bin"
+        write_malformed(path, "zero_size_huge_shape")
+        with pytest.raises(DataFormatError,
+                           match=f"^{re.escape(str(path))}: array 'w': "):
             load_model(path)
 
 

@@ -156,6 +156,31 @@ class TestFeatureCsv:
         assert np.array_equal(a.features.rows, b.features.rows)
 
 
+class TestTextCellCut:
+    @pytest.mark.parametrize("idx", range(4))
+    def test_plain_path_cuts_the_text_cell_anywhere(self, tmp_path, idx):
+        # cells left of the middle are found from the line's start, the
+        # others from its end
+        rows, labels = [["1.5", "-2", "3"], ["4", "5e-3", "6"]], ["X", "Y"]
+        lines = [cells[:idx] + [text] + cells[idx:]
+                 for cells, text in zip([["a", "b", "c"]] + rows,
+                                        ["label"] + labels)]
+        path = tmp_path / "cut.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in lines))
+        names, values, texts = dataset._read_plain(path, lambda h: idx, str)
+        assert (names, texts) == (["a", "b", "c"], labels)
+        assert values.tolist() == [[1.5, -2.0, 3.0], [4.0, 5e-3, 6.0]]
+
+    def test_row_of_one_empty_number_named(self, tmp_path):
+        # cut off ",NEUTRAL", the row leaves nothing, which np.loadtxt
+        # would skip as a blank line
+        path = tmp_path / "features.csv"
+        path.write_text("a,label\n1,NEUTRAL\n,NEUTRAL\n")
+        with pytest.raises(DataFormatError,
+                           match="row 3: column 'a': cannot parse ''"):
+            load_feature_csv(path)
+
+
 class TestRawCsv:
     def test_muse_shape(self, tmp_path):
         header = "TP9,AF7,AF8,TP10"
